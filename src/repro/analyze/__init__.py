@@ -1,6 +1,6 @@
 """Correctness tooling for the simulated PGAS stack.
 
-Two halves (DESIGN.md §9):
+Two halves (DESIGN.md §9, §14):
 
 * **Dynamic sanitizer** (:mod:`repro.analyze.sanitizer`) — a run-time
   checker armed with :func:`sanitize_session`, off by default and
@@ -15,9 +15,10 @@ Two halves (DESIGN.md §9):
   - a **collective/barrier-matching** checker (mismatched collective
     sequences, ``upc_notify``/``upc_wait`` misuse).
 
-* **Static lint** (:mod:`repro.analyze.lint`) — an AST pass over the
-  source tree with repo-specific rules, run as
-  ``python -m repro.analyze.lint src``.
+* **Static analyzer** (:mod:`repro.analyze.static`) — a flow-aware pass
+  over the source tree with repo-specific rules (PGAS001-012), gated
+  against a committed baseline by ``python -m repro.analyze.static
+  --check``.
 
 This package must stay importable with the standard library alone (plus
 :mod:`repro.obs`, which shares that constraint): the simulation kernel

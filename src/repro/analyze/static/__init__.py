@@ -150,5 +150,5 @@ def analyze_tree(root, flow: bool = True) -> AnalysisResult:
 
 def analyze_source(source: str, path: str = "<string>",
                    flow: bool = True) -> AnalysisResult:
-    """Analyze one source string (tests, fixtures, the lint shim)."""
+    """Analyze one source string (tests, fixtures)."""
     return analyze_project(load_sources([(source, path)]), flow=flow)

@@ -1,11 +1,17 @@
-"""PGAS001-004 re-homed onto the static framework (one walker).
+"""PGAS001-004: the original AST rules on the static framework (one walker).
 
-Same rules as the original flat linter (see the module docstring of
-:mod:`repro.analyze.lint`, which is now a thin shim over this pass):
-wall clocks in simulated code, dropped costed generators, literal
-metric names, ``SharedArray._data`` pokes.  Emits
-:class:`~repro.analyze.findings.StaticFinding` like every other pass,
-so the noqa mechanism, report and baseline are shared.
+* PGAS001 — simulated code must not read wall clocks (``time.time()``,
+  ``datetime.now()``...); use ``upc.wtime()`` / ``sim.now``.  The
+  harness and the host profiler time real execution and are exempt.
+* PGAS002 — a bare call to a costed generator (``arr.read_elem(upc, i)``)
+  drops the generator: the access silently never happens.
+* PGAS003 — metric names passed to a ``*stats``/``*profiler`` emitter
+  must be :mod:`repro.obs.names` constants, not string literals.
+* PGAS004 — ``SharedArray._data`` is private to its accessors; touching
+  it elsewhere bypasses cost charging and the sanitizer.
+
+Emits :class:`~repro.analyze.findings.StaticFinding` like every other
+pass, so the noqa mechanism, report and baseline are shared.
 """
 
 from __future__ import annotations

@@ -289,7 +289,7 @@ def load_tree(root: Path) -> Project:
 
 
 def load_sources(sources: Iterable[Tuple[str, str]]) -> Project:
-    """Build a project from ``(source, path)`` pairs (tests, lint shim)."""
+    """Build a project from ``(source, path)`` pairs (tests, file lists)."""
     modules = []
     for source, path in sources:
         posix = Path(path).as_posix()

@@ -58,9 +58,8 @@ class FaultError(SimulationError):
 class ExecutorError(SimulationError):
     """A campaign executor could not complete its batch.
 
-    Raised with a message naming the point whose worker died (instead of
-    an opaque ``BrokenProcessPool`` abort), or a journal that cannot be
-    resumed.
+    Raised when a journal cannot be resumed: it was recorded for a
+    different campaign.
     """
 
 

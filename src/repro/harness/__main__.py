@@ -54,12 +54,6 @@ def main(argv=None) -> int:
                         help="arm the dynamic PGAS sanitizer (repro.analyze): "
                              "race, privatization-legality and collective-"
                              "matching checks; any finding fails the run")
-    parser.add_argument("--analyze-static", action="store_true",
-                        help="run the flow-aware static PGAS analyzer over "
-                             "the repro package against the committed "
-                             "baseline and exit (the static counterpart to "
-                             "--sanitize; same gate as python -m "
-                             "repro.analyze.static --check)")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="run independent simulation points across N "
                              "worker processes (default 1: inline, "
@@ -72,11 +66,10 @@ def main(argv=None) -> int:
     parser.add_argument("--no-cache", action="store_true",
                         help="disable the result cache (every point runs)")
     parser.add_argument("--durable", action="store_true",
-                        help="run under the crash-safe queue executor: "
-                             "every point's lifecycle is journaled, failed "
-                             "points retry with backoff and are quarantined "
-                             "after --max-attempts, and an interrupted "
-                             "campaign can be finished with --resume")
+                        help="journal every point's lifecycle so an "
+                             "interrupted campaign can be finished with "
+                             "--resume (runs the worker queue even at "
+                             "--jobs 1)")
     parser.add_argument("--resume", action="store_true",
                         help="replay the campaign journal and execute only "
                              "unfinished points (implies --durable); the "
@@ -88,19 +81,21 @@ def main(argv=None) -> int:
                              "as failed and retried/quarantined instead of "
                              "wedging the campaign (implies --durable)")
     parser.add_argument("--max-attempts", type=int, default=3, metavar="N",
-                        help="attempts per point before the durable executor "
-                             "quarantines it as poison (default 3)")
+                        help="attempts per point before the worker queue "
+                             "(--jobs N or --durable) quarantines it as "
+                             "poison (default 3)")
     parser.add_argument("--lease-timeout", type=float, default=30.0,
                         metavar="SECONDS",
-                        help="heartbeat lease duration for durable workers; "
-                             "a worker silent this long is presumed dead and "
-                             "its point is reclaimed (default 30)")
+                        help="heartbeat lease duration for queue workers "
+                             "(--jobs N or --durable); a worker silent this "
+                             "long is presumed dead and its point is "
+                             "reclaimed (default 30)")
     parser.add_argument("--journal-dir", metavar="DIR",
                         help="campaign journal location (default "
                              "<cache-dir>/journals)")
     parser.add_argument("--chaos", metavar="SPEC",
-                        help="seeded self-chaos injection for the durable "
-                             "executor (e.g. 'kill:point=1,attempt=1;"
+                        help="seeded self-chaos injection for the worker "
+                             "queue (e.g. 'kill:point=1,attempt=1;"
                              "halt:after=2;seed=7'); implies --durable")
     parser.add_argument("--summary-dir", metavar="DIR",
                         help="trace every campaign and write per-point "
@@ -119,10 +114,6 @@ def main(argv=None) -> int:
                              "journal under DIR (a cache dir or a journals "
                              f"dir; default {DEFAULT_CACHE_DIR}) and exit")
     args = parser.parse_args(argv)
-    if args.analyze_static:
-        from repro.analyze.static.__main__ import main as static_main
-
-        return static_main(["--check"])
     if args.status is not None:
         from repro.harness.status import render_status
 

@@ -7,9 +7,9 @@ executor and an optional result cache:
    as an ordered list of :class:`~repro.harness.spec.RunSpec`.
 2. **Plan** — cached points are resolved to stored outputs; only the
    misses go to the executor.
-3. **Execute** — the executor (inline, process pool, or the durable
-   queue) runs the misses and returns outputs in spec order; fresh
-   outputs are written back to the cache.
+3. **Execute** — the executor (inline, or the worker queue, journaled
+   under ``--durable``) runs the misses and returns outputs in spec
+   order; fresh outputs are written back to the cache.
 4. **Collate** — the experiment's ``collate(scale, outputs)`` folds the
    ordered outputs into an :class:`~repro.harness.reporting.ExperimentResult`.
 
@@ -18,7 +18,7 @@ is independent of scheduling and of the cache's hit pattern; only the
 campaign counters (surfaced on the result when a cache is in play)
 differ between a cold and a warm run.
 
-When the durable queue executor quarantines poison points, the campaign
+When the queue executor quarantines poison points, the campaign
 **degrades instead of aborting**: the experiment's ``collate`` needs the
 full ordered point set, so the result is a partial
 :class:`ExperimentResult` carrying the completed count, a rendered
@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 from repro.harness.cache import ResultCache
-from repro.harness.executor import ExecutionBatch, make_executor
+from repro.harness.executor import ExecutionBatch, InlineExecutor
 from repro.harness.reporting import ExperimentResult
 from repro.harness.spec import RunSpec
 
@@ -69,11 +69,11 @@ class Campaign:
 
     def __init__(self, experiment, scale: str = "quick", faults=None,
                  executor=None, cache: Optional[ResultCache] = None,
-                 jobs: int = 1, chaos=None):
+                 chaos=None):
         self.experiment = experiment
         self.scale = scale
         self.faults = faults
-        self.executor = executor if executor is not None else make_executor(jobs)
+        self.executor = executor if executor is not None else InlineExecutor()
         self.cache = cache
         self.chaos = chaos
 

@@ -2,34 +2,27 @@
 
 An executor takes an ordered list of :class:`~repro.harness.spec.RunSpec`
 points and returns their outputs **in the same order**, plus any
-observability payloads (tracers, sanitizer findings) the caller asked
-for.  Three implementations share that contract:
+observability payloads (tracers, sanitizer findings, profiles) the
+caller asked for.  Both implementations share one per-point core,
+:func:`run_point`, and one batch assembly,
+:meth:`ExecutionBatch.from_payloads`:
 
 * :class:`InlineExecutor` — runs every point in this process, one after
-  the other; exactly the historical harness behavior (and the only mode
-  in which a single trace session spans the whole campaign in one go).
-* :class:`ParallelExecutor` — fans independent points across a
-  ``ProcessPoolExecutor``.  Each worker runs its point inside its own
-  trace/sanitize session and ships the finished tracers (detached from
-  their simulator) and finding rows back through pickle; the parent
-  re-numbers tracer ``run_index`` in spec order so exports are
-  byte-identical to an inline run.  A worker death surfaces as a clear
-  :class:`ExecutorError` naming the point instead of an opaque
-  ``BrokenProcessPool`` abort.
-* :class:`~repro.harness.queue.QueueExecutor` — the durable, lease-based
-  executor (``--durable``/``--resume``): journals every point's
-  lifecycle, retries failures with backoff, and quarantines poison
-  points instead of aborting the campaign.
+  the other (``--jobs 1``).
+* :class:`~repro.harness.queue.QueueExecutor` — a coordinator over up
+  to ``jobs`` persistent worker processes with leases, retries and
+  quarantine.  Given a journal directory (``--durable``/``--resume``) it
+  journals every point's lifecycle; a plain ``--jobs N`` runs it
+  journal-less.
 
-Every simulation point is a pure function of its spec (fixed seeds, no
+:func:`make_executor` is the one place that picks between them.  Every
+simulation point is a pure function of its spec (fixed seeds, no
 wall-clock reads), so scheduling cannot change results — only wall time.
 """
 
 from __future__ import annotations
 
-import os
-import signal
-import time
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -40,9 +33,9 @@ __all__ = [
     "ExecutionBatch",
     "ExecutorError",
     "InlineExecutor",
-    "ParallelExecutor",
     "execute_spec",
     "make_executor",
+    "run_point",
 ]
 
 #: app id prefix -> package exposing the normalized ``run_request`` adapter
@@ -52,6 +45,10 @@ _ADAPTER_PACKAGES = {
     "stream": "repro.apps.stream",
     "microbench": "repro.apps.microbench",
 }
+
+#: The payload of a point without a result (e.g. quarantined).
+_NO_PAYLOAD: Dict[str, Any] = {"output": None, "tracers": [], "findings": [],
+                               "sanitizer_runs": 0, "profile": None}
 
 
 def execute_spec(spec: RunSpec) -> Dict[str, Any]:
@@ -66,6 +63,44 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
         )
     module = importlib.import_module(package)
     return module.run_request(spec)
+
+
+def run_point(spec: RunSpec, trace: bool = False, sanitize: bool = False,
+              profile: bool = False) -> Dict[str, Any]:
+    """One spec inside its own trace/sanitize/profile sessions → payload.
+
+    The only place per-point sessions are opened.  The payload pickles:
+    tracers are detached from their simulator (``sim`` holds generators,
+    which cannot cross a process boundary) — everything the exporter and
+    critical-path attribution read is already materialized in the
+    tracer's own lists.
+    """
+    payload = dict(_NO_PAYLOAD)
+    with ExitStack() as stack:
+        san_session = session = psession = None
+        if sanitize:
+            from repro.analyze.sanitizer import sanitize_session
+
+            san_session = stack.enter_context(sanitize_session(spec.app))
+        if trace:
+            from repro.obs.session import trace_session
+
+            session = stack.enter_context(trace_session(spec.app))
+        if profile:
+            from repro.obs.profile import profile_session
+
+            psession = stack.enter_context(profile_session(spec.app))
+        payload["output"] = execute_spec(spec)
+    if psession is not None:
+        payload["profile"] = psession.snapshot()
+    if session is not None:
+        for tracer in session.tracers:
+            tracer.sim = None
+        payload["tracers"] = list(session.tracers)
+    if san_session is not None:
+        payload["findings"] = [f.row() for f in san_session.findings]
+        payload["sanitizer_runs"] = len(san_session.sanitizers)
+    return payload
 
 
 @dataclass
@@ -97,179 +132,52 @@ class ExecutionBatch:
     #: instead of executed.
     replayed: int = 0
 
+    @classmethod
+    def from_payloads(cls, payloads: Sequence[Optional[Dict[str, Any]]], *,
+                      trace: bool = False,
+                      profile: bool = False) -> "ExecutionBatch":
+        """Assemble a batch from :func:`run_point` payloads in spec order.
 
-class InlineExecutor:
-    """Sequential in-process execution — the historical harness path."""
-
-    jobs = 1
-
-    def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
-            sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
-        from contextlib import ExitStack
-
-        batch = ExecutionBatch()
-        if not specs:
-            return batch
-        with ExitStack() as stack:
-            san_session = None
-            if sanitize:
-                from repro.analyze.sanitizer import sanitize_session
-
-                san_session = stack.enter_context(sanitize_session("campaign"))
-            session = None
+        None marks a point without a result (quarantined or missing).
+        Tracers are renumbered in spec order (``run_index`` is lane
+        ordering), so exports are byte-identical however the points were
+        scheduled.
+        """
+        batch = cls()
+        for payload in payloads:
+            payload = payload or _NO_PAYLOAD
+            batch.outputs.append(payload["output"])
+            batch.tracers.extend(payload["tracers"])
             if trace:
-                from repro.obs.session import trace_session
-
-                session = stack.enter_context(trace_session("campaign"))
-            bounds: List[int] = []
-            for spec in specs:
-                if profile:
-                    # One profile session *per point* (not per campaign,
-                    # unlike the trace session) so inline and parallel
-                    # batches merge to byte-identical cost profiles.
-                    from repro.obs.profile import profile_session
-
-                    with profile_session(spec.app) as psession:
-                        batch.outputs.append(execute_spec(spec))
-                    batch.profiles.append(psession.snapshot())
-                else:
-                    batch.outputs.append(execute_spec(spec))
-                if session is not None:
-                    bounds.append(len(session.tracers))
-        if session is not None:
-            batch.tracers = list(session.tracers)
-            lo = 0
-            for hi in bounds:
-                batch.tracer_groups.append(batch.tracers[lo:hi])
-                lo = hi
-        if san_session is not None:
-            batch.findings = [f.row() for f in san_session.findings]
-            batch.sanitizer_runs = len(san_session.sanitizers)
-        return batch
-
-
-def _compute_payload(spec: RunSpec, trace: bool, sanitize: bool,
-                     profile: bool = False) -> Dict[str, Any]:
-    """One spec inside its own trace/sanitize sessions → picklable payload.
-
-    Tracers are detached from their simulator (``sim`` holds generators,
-    which cannot cross a process boundary) — everything the exporter and
-    critical-path attribution read is already materialized in the
-    tracer's own lists.
-    """
-    from contextlib import ExitStack
-
-    payload: Dict[str, Any] = {"tracers": [], "findings": [],
-                               "sanitizer_runs": 0, "profile": None}
-    with ExitStack() as stack:
-        san_session = None
-        if sanitize:
-            from repro.analyze.sanitizer import sanitize_session
-
-            san_session = stack.enter_context(sanitize_session(spec.app))
-        session = None
-        if trace:
-            from repro.obs.session import trace_session
-
-            session = stack.enter_context(trace_session(spec.app))
-        psession = None
-        if profile:
-            from repro.obs.profile import profile_session
-
-            psession = stack.enter_context(profile_session(spec.app))
-        payload["output"] = execute_spec(spec)
-    if psession is not None:
-        payload["profile"] = psession.snapshot()
-    if session is not None:
-        for tracer in session.tracers:
-            tracer.sim = None
-        payload["tracers"] = list(session.tracers)
-    if san_session is not None:
-        payload["findings"] = [f.row() for f in san_session.findings]
-        payload["sanitizer_runs"] = len(san_session.sanitizers)
-    return payload
-
-
-def _run_point(args) -> Dict[str, Any]:
-    """Pool-worker entry: compute one point, honoring any chaos plan.
-
-    The chaos hooks exist so the executor's own failure paths can be
-    tested deterministically: ``stall`` hangs before computing, ``fail``
-    raises after computing, ``kill`` SIGKILLs the worker right before it
-    would report — the BrokenProcessPool case a real OOM kill produces.
-    """
-    index, spec, trace, sanitize, profile, chaos_spec = args
-    plan = None
-    if chaos_spec:
-        from repro.harness.chaos import ChaosPlan
-
-        plan = ChaosPlan.parse(chaos_spec)
-    fingerprint = spec.fingerprint()
-    if plan is not None and plan.decide("stall", index, fingerprint, 1):
-        time.sleep(3600.0)
-    payload = _compute_payload(spec, trace, sanitize, profile)
-    if plan is not None:
-        if plan.decide("fail", index, fingerprint, 1):
-            raise RuntimeError(f"chaos: injected failure at point {index}")
-        if plan.decide("kill", index, fingerprint, 1):
-            os.kill(os.getpid(), signal.SIGKILL)
-    return payload
-
-
-class ParallelExecutor:
-    """Fan independent points across worker processes (``--jobs N``)."""
-
-    def __init__(self, jobs: int, chaos: Optional[str] = None):
-        if jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {jobs}")
-        self.jobs = jobs
-        self.chaos = chaos
-
-    def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
-            sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
-        if not specs:
-            return ExecutionBatch()
-        from concurrent.futures import ProcessPoolExecutor
-        from concurrent.futures.process import BrokenProcessPool
-
-        batch = ExecutionBatch()
-        workers = min(self.jobs, len(specs))
-        tasks = [(i, spec, trace, sanitize, profile, self.chaos)
-                 for i, spec in enumerate(specs)]
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                # map() yields in submission order: deterministic spec
-                # order regardless of which worker finishes first.
-                for payload in pool.map(_run_point, tasks):
-                    batch.outputs.append(payload["output"])
-                    batch.tracers.extend(payload["tracers"])
-                    if trace:
-                        batch.tracer_groups.append(list(payload["tracers"]))
-                    if profile:
-                        batch.profiles.append(payload["profile"])
-                    batch.findings.extend(payload["findings"])
-                    batch.sanitizer_runs += payload["sanitizer_runs"]
-        except BrokenProcessPool as exc:
-            # map() has yielded every point before this one, so the
-            # first unreturned point is where the batch stopped; with
-            # several points in flight the dead worker held this point
-            # or one shortly after it.
-            index = len(batch.outputs)
-            spec = specs[min(index, len(specs) - 1)]
-            raise ExecutorError(
-                f"worker process died while running point {index} of "
-                f"{len(specs)} ({spec.app}, fingerprint "
-                f"{spec.fingerprint()[:12]}); the process pool cannot "
-                "recover — re-run with --durable to retry the point and "
-                "quarantine it if it keeps killing workers"
-            ) from exc
-        # Re-number the merged tracers so exports are byte-identical to
-        # an inline run's single session (run_index is lane-ordering).
+                batch.tracer_groups.append(list(payload["tracers"]))
+            if profile:
+                batch.profiles.append(payload["profile"])
+            batch.findings.extend(payload["findings"])
+            batch.sanitizer_runs += payload["sanitizer_runs"]
         for index, tracer in enumerate(batch.tracers, start=1):
             tracer.run_index = index
         return batch
 
 
-def make_executor(jobs: int = 1):
-    """The executor for a job count: inline at 1, process pool above."""
-    return InlineExecutor() if jobs <= 1 else ParallelExecutor(jobs)
+class InlineExecutor:
+    """Sequential in-process execution (``--jobs 1``)."""
+
+    jobs = 1
+
+    def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
+            sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
+        return ExecutionBatch.from_payloads(
+            [run_point(spec, trace, sanitize, profile) for spec in specs],
+            trace=trace, profile=profile,
+        )
+
+
+def make_executor(jobs: int = 1, *, journal_dir=None, **queue_options):
+    """The executor for a run: inline for one job without a journal,
+    otherwise a :class:`~repro.harness.queue.QueueExecutor` (journaled
+    iff ``journal_dir`` is given; ``queue_options`` go to it)."""
+    if jobs <= 1 and journal_dir is None:
+        return InlineExecutor()
+    from repro.harness.queue import QueueExecutor
+
+    return QueueExecutor(jobs, journal_dir=journal_dir, **queue_options)

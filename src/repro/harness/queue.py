@@ -1,26 +1,32 @@
-"""Durable, lease-based campaign executor: the crash-safe work queue.
+"""Lease-based campaign executor over persistent worker processes.
 
 :class:`QueueExecutor` implements the executor contract of
-:mod:`repro.harness.executor` as a coordinator over single-point worker
-processes, journaling every lifecycle transition so a campaign survives
-anything short of losing the journal file itself:
+:mod:`repro.harness.executor` as a coordinator over up to ``jobs``
+long-lived worker processes.  A worker receives ``(point, spec,
+attempt)`` over its pipe, runs :func:`~repro.harness.executor.run_point`
+and replies, so process start-up is paid once per worker instead of
+once per point.  Around that loop the coordinator keeps every point
+alive:
 
 * **Leases + heartbeats** — each in-flight point is a time-limited lease;
   the worker's heartbeat thread refreshes it.  A worker that stops
-  heartbeating (hung interpreter, livelocked simulation, SIGSTOP) has
-  its lease reclaimed: the coordinator kills it and requeues the point.
+  heartbeating (hung interpreter, livelocked simulation, SIGSTOP), dies,
+  or overruns the per-point timeout is killed and replaced and its point
+  requeued; a worker that reports an app exception stays in service.
 * **Retries with backoff** — a failed attempt (worker SIGKILLed, lease
   expired, per-point timeout, dropped result, app exception) is retried
   under exponential backoff with deterministic jitter (a pure hash of
   the point fingerprint and attempt number — no RNG state to lose).
 * **Quarantine** — a point that fails ``max_attempts`` times is poison:
-  it is journaled as quarantined and surfaced in the batch's
-  ``failures`` while every other point completes, so the campaign
-  degrades to a partial report instead of aborting.
-* **Resume** — ``resume=True`` replays the journal first and executes
-  only points without a durable ``done`` record; because every point is
-  a pure function of its spec, the resumed report is byte-identical to
-  an uninterrupted run.
+  it is surfaced in the batch's ``failures`` while every other point
+  completes, so the campaign degrades to a partial report instead of
+  aborting.
+* **Journal + resume** — given a ``journal_dir`` (``--durable``), every
+  lifecycle transition is journaled, and ``resume=True`` replays the
+  journal first and executes only points without a durable ``done``
+  record; because every point is a pure function of its spec, the
+  resumed report is byte-identical to an uninterrupted run.  Without a
+  ``journal_dir`` (a plain ``--jobs N``) nothing is written.
 
 The coordinator is the journal's only writer (workers report through
 pipes), which keeps the journal single-writer-append-only — the same
@@ -39,15 +45,13 @@ import hashlib
 import heapq
 import os
 import signal
+import threading
 import time
+from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.harness.chaos import ChaosPlan
-from repro.harness.executor import (
-    ExecutionBatch,
-    ExecutorError,
-    _compute_payload,
-)
+from repro.harness.executor import ExecutionBatch, ExecutorError, run_point
 from repro.harness.journal import CampaignJournal, campaign_fingerprint
 from repro.harness.spec import RunSpec
 
@@ -55,85 +59,127 @@ __all__ = ["QueueExecutor"]
 
 #: Forever, as far as one campaign point is concerned.
 _STALL_S = 3600.0
+#: How long a worker whose pipe hit EOF may take to finish exiting before
+#: it is killed: long enough that a clean exit is journaled as one, not
+#: as the SIGKILL that would cut it short.
+_EXIT_GRACE_S = 5.0
 
 
-def _queue_worker(conn, index: int, spec: RunSpec, attempt: int,
-                  trace: bool, sanitize: bool, profile: bool,
-                  chaos_spec: Optional[str], heartbeat_s: float) -> None:
-    """Worker entry: compute one point, heartbeat while doing so.
-
-    All reporting goes through ``conn``: ``("hb", i)`` keeps the lease
-    alive, ``("result", i, payload)`` delivers the point, and
-    ``("error", i, msg)`` reports an app exception without killing the
-    campaign.  A worker that dies without sending anything is exactly
-    the failure the lease/retry machinery exists for.
-    """
-    import threading
-
-    plan = ChaosPlan.parse(chaos_spec) if chaos_spec else None
-    fingerprint = spec.fingerprint()
-    stalled = plan is not None and plan.decide("stall", index, fingerprint,
-                                               attempt)
-    send_lock = threading.Lock()
+@contextmanager
+def _heartbeat(conn, point: int, period_s: float):
+    """Send ``("hb", point)`` over ``conn`` every ``period_s`` meanwhile."""
     stop = threading.Event()
-    if not stalled:
-        # Chaos "stall" suppresses heartbeats too: a hung interpreter
-        # does not run helper threads either, and the whole point is to
-        # force the coordinator down the lease-expiry path.
-        def _beat() -> None:
-            while not stop.wait(heartbeat_s):
-                try:
-                    with send_lock:
-                        conn.send(("hb", index))
-                except OSError:
-                    return
 
-        threading.Thread(target=_beat, daemon=True).start()
+    def beat() -> None:
+        while not stop.wait(period_s):
+            try:
+                conn.send(("hb", point))
+            except OSError:
+                return
+
+    thread = threading.Thread(target=beat, daemon=True)
+    thread.start()
     try:
-        if stalled:
-            time.sleep(_STALL_S)
-        payload = _compute_payload(spec, trace, sanitize, profile)
-        if plan is not None:
-            if plan.decide("fail", index, fingerprint, attempt):
-                raise RuntimeError(f"chaos: injected failure at point {index}")
-            if plan.decide("kill", index, fingerprint, attempt):
-                os.kill(os.getpid(), signal.SIGKILL)
-            if plan.decide("drop", index, fingerprint, attempt):
-                return      # exit 0 with no result: a dropped message
-        with send_lock:
-            conn.send(("result", index, payload))
-    except BaseException as exc:
-        try:
-            with send_lock:
-                conn.send(("error", index, f"{type(exc).__name__}: {exc}"))
-        except OSError:
-            pass
+        yield
     finally:
         stop.set()
-        conn.close()
+        thread.join()
 
 
-class _Task:
-    """Coordinator-side state of one leased, in-flight point."""
+def _worker(conn, inherited, trace: bool, sanitize: bool, profile: bool,
+            chaos_spec: Optional[str], heartbeat_s: float) -> None:
+    """Worker entry: run the points sent over ``conn`` until it closes.
 
-    __slots__ = ("point", "attempt", "proc", "conn", "started", "last_hb",
-                 "result", "error")
+    Each ``(point, spec, attempt)`` is answered with ``("result", point,
+    payload)``, or ``("error", point, message)`` for an app exception;
+    ``("hb", point)`` keeps the lease alive meanwhile.  A worker that
+    dies without answering is exactly the failure the lease/retry
+    machinery exists for.
 
-    def __init__(self, point: int, attempt: int, proc, conn, now: float):
-        self.point = point
-        self.attempt = attempt
+    ``inherited`` holds the coordinator-side pipe ends this process got
+    by forking: its own and its older siblings'.  Closing them leaves the
+    coordinator their only holder, so its death — even by SIGKILL —
+    reaches every worker as EOF instead of leaving siblings that hold
+    each other's pipes open forever.
+    """
+    for end in inherited:
+        end.close()
+    plan = ChaosPlan.parse(chaos_spec) if chaos_spec else None
+    while True:
+        try:
+            point, spec, attempt = conn.recv()
+        except (EOFError, OSError):
+            return                              # the coordinator is gone
+        strikes = set() if plan is None else {
+            kind for kind in ("stall", "fail", "kill", "drop")
+            if plan.decide(kind, point, spec.fingerprint(), attempt)}
+        try:
+            if "stall" in strikes:
+                # no heartbeats either: a hung interpreter runs no helper
+                # threads, and the point is to force the lease-expiry path
+                time.sleep(_STALL_S)
+            with _heartbeat(conn, point, heartbeat_s):
+                payload = run_point(spec, trace, sanitize, profile)
+            if "fail" in strikes:
+                raise RuntimeError(f"chaos: injected failure at point {point}")
+            if "kill" in strikes:
+                os.kill(os.getpid(), signal.SIGKILL)
+            if "drop" in strikes:
+                return          # exit 0 with no result: a dropped message
+            reply = ("result", point, payload)
+        except Exception as exc:    # the app failed; report, keep serving
+            reply = ("error", point, f"{type(exc).__name__}: {exc}")
+        try:
+            conn.send(reply)
+        except OSError:
+            return
+
+
+def _exit_reason(code: Optional[int]) -> str:
+    """Why a worker left without answering, from its exit status."""
+    if code == 0:
+        return "worker exited without reporting a result"
+    if code is not None and code < 0:
+        return f"worker killed by signal {signal.Signals(-code).name}"
+    return f"worker died (exit code {code})"
+
+
+class _NoJournal:
+    """The journal of a journal-less run: records nothing."""
+
+    exists = False
+
+    def append(self, event: Dict[str, Any]) -> None:
+        pass
+
+    def discard(self) -> None:
+        pass
+
+    def __enter__(self) -> "_NoJournal":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        pass
+
+
+class _Worker:
+    """Coordinator-side handle on one worker process and its lease."""
+
+    __slots__ = ("proc", "conn", "point", "attempt", "started", "last_hb")
+
+    def __init__(self, proc, conn):
         self.proc = proc
         self.conn = conn
-        self.started = now
-        self.last_hb = now
-        self.result: Optional[Dict[str, Any]] = None
-        self.error: Optional[str] = None
+        self.point: Optional[int] = None    #: leased point; None when idle
+        self.attempt = 0
+        self.started = self.last_hb = 0.0
 
 
 class QueueExecutor:
-    """Durable lease-based executor (``--durable``/``--resume``)."""
+    """Lease-based executor over persistent workers (``--jobs N``,
+    ``--durable``, ``--resume``)."""
 
-    def __init__(self, jobs: int = 1, *, journal_dir,
+    def __init__(self, jobs: int = 1, *, journal_dir=None,
                  resume: bool = False, max_attempts: int = 3,
                  lease_s: float = 30.0, heartbeat_s: Optional[float] = None,
                  point_timeout: Optional[float] = None,
@@ -148,6 +194,8 @@ class QueueExecutor:
             raise ValueError(f"lease_s must be > 0, got {lease_s}")
         if point_timeout is not None and point_timeout <= 0:
             raise ValueError(f"point_timeout must be > 0, got {point_timeout}")
+        if resume and journal_dir is None:
+            raise ValueError("resume needs a journal_dir to replay")
         self.jobs = jobs
         self.journal_dir = journal_dir
         self.resume = resume
@@ -182,19 +230,18 @@ class QueueExecutor:
 
     def run(self, specs: Sequence[RunSpec], *, trace: bool = False,
             sanitize: bool = False, profile: bool = False) -> ExecutionBatch:
-        batch = ExecutionBatch()
         if not specs:
-            return batch
+            return ExecutionBatch()
         specs = list(specs)
         total = len(specs)
         fingerprint = campaign_fingerprint(specs)
         plan = ChaosPlan.parse(self.chaos) if self.chaos else None
-        journal = CampaignJournal.for_campaign(self.journal_dir, fingerprint)
+        journal = (_NoJournal() if self.journal_dir is None else
+                   CampaignJournal.for_campaign(self.journal_dir, fingerprint))
 
-        outputs: List[Optional[Dict[str, Any]]] = [None] * total
         attempts = {i: 0 for i in range(total)}
+        replayed: Dict[int, Dict[str, Any]] = {}
         quarantined: Dict[int, str] = {}
-        replayed = 0
 
         with journal:
             if self.resume and journal.exists:
@@ -214,12 +261,11 @@ class QueueExecutor:
                     attempts[i] = point.attempts
                     if point.status == "done" and not (trace or sanitize
                                                       or profile):
-                        outputs[i] = point.output
-                        replayed += 1
+                        replayed[i] = point.output
                     elif point.status == "quarantined":
                         quarantined[i] = point.error or "quarantined"
-                journal.append({"e": "resume", "pending": total - replayed
-                                - len(quarantined)})
+                journal.append({"e": "resume", "pending": total
+                                - len(replayed) - len(quarantined)})
             else:
                 if not self.resume:
                     journal.discard()
@@ -228,37 +274,16 @@ class QueueExecutor:
                                 "version": _package_version(),
                                 **self.meta})
             pending = [i for i in range(total)
-                       if outputs[i] is None and i not in quarantined]
+                       if i not in replayed and i not in quarantined]
             results = self._drain(specs, pending, attempts, journal, plan,
                                   trace, sanitize, profile, quarantined)
 
-        tracers: List[Any] = []
-        findings: List[Dict[str, Any]] = []
-        for i in range(total):
-            payload = results.get(i)
-            if payload is None:
-                if trace:
-                    batch.tracer_groups.append([])
-                if profile:
-                    # Quarantined/replayed-missing points contribute no
-                    # profile; the merged artifact covers only the
-                    # healthy remainder.
-                    batch.profiles.append(None)
-                continue
-            outputs[i] = payload["output"]
-            tracers.extend(payload["tracers"])
-            if trace:
-                batch.tracer_groups.append(list(payload["tracers"]))
-            if profile:
-                batch.profiles.append(payload["profile"])
-            findings.extend(payload["findings"])
-            batch.sanitizer_runs += payload["sanitizer_runs"]
-        for index, tracer in enumerate(tracers, start=1):
-            tracer.run_index = index
-        batch.outputs = outputs
-        batch.tracers = tracers
-        batch.findings = findings
-        batch.replayed = replayed
+        batch = ExecutionBatch.from_payloads(
+            [results.get(i) for i in range(total)], trace=trace,
+            profile=profile)
+        for i, output in replayed.items():
+            batch.outputs[i] = output
+        batch.replayed = len(replayed)
         batch.failures = [
             {"point": i, "app": specs[i].app,
              "fingerprint": specs[i].fingerprint()[:12],
@@ -277,42 +302,54 @@ class QueueExecutor:
         ctx = mp.get_context()
         results: Dict[int, Dict[str, Any]] = {}
         fresh_done = 0
-        ready: List[tuple] = []     # (not_before, point, attempt)
-        for i in pending:
-            heapq.heappush(ready, (0.0, i, attempts[i] + 1))
-        inflight: Dict[Any, _Task] = {}
+        # (not_before, point, attempt); sorted, hence already a heap
+        ready: List[tuple] = [(0.0, i, attempts[i] + 1) for i in pending]
+        workers: Dict[Any, _Worker] = {}    # coordinator pipe end -> worker
 
-        def launch(point: int, attempt: int) -> None:
-            parent_conn, child_conn = ctx.Pipe(duplex=False)
-            proc = ctx.Process(
-                target=_queue_worker,
-                args=(child_conn, point, specs[point], attempt, trace,
-                      sanitize, profile, self.chaos, self.heartbeat_s),
-                daemon=True,
-            )
-            proc.start()
-            child_conn.close()
+        def lease(point: int, attempt: int) -> _Worker:
+            worker = next((w for w in workers.values() if w.point is None),
+                          None)
+            if worker is None:
+                ours, theirs = ctx.Pipe()
+                proc = ctx.Process(
+                    target=_worker,
+                    args=(theirs, [ours, *workers], trace, sanitize, profile,
+                          self.chaos, self.heartbeat_s),
+                    daemon=True,
+                )
+                proc.start()
+                theirs.close()
+                worker = workers[ours] = _Worker(proc, ours)
+            worker.point, worker.attempt = point, attempt
+            worker.started = worker.last_hb = time.monotonic()
             attempts[point] = attempt
             journal.append({"e": "lease", "p": point, "attempt": attempt,
-                            "pid": proc.pid, "lease_s": self.lease_s})
-            inflight[parent_conn] = _Task(point, attempt, proc, parent_conn,
-                                          time.monotonic())
-
-        def finish(task: _Task) -> None:
-            nonlocal fresh_done
-            del inflight[task.conn]
+                            "pid": worker.proc.pid, "lease_s": self.lease_s})
             try:
-                task.conn.close()
+                worker.conn.send((point, specs[point], attempt))
             except OSError:
-                pass
-            if task.proc.is_alive():
-                task.proc.kill()
-            task.proc.join(5.0)
-            if task.result is not None:
-                results[task.point] = task.result
-                journal.append({"e": "done", "p": task.point,
-                                "attempt": task.attempt,
-                                "output": task.result["output"]})
+                pass        # the worker died idle: its EOF fails the attempt
+            return worker
+
+        def retire(worker: _Worker, grace_s: float = 0.0) -> None:
+            """Drop ``worker``; kill it unless it exits within ``grace_s``."""
+            del workers[worker.conn]
+            worker.conn.close()
+            worker.proc.join(grace_s)
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join(5.0)
+
+        def settle(worker: _Worker, payload=None,
+                   error: Optional[str] = None) -> None:
+            """Record the outcome of ``worker``'s point; the worker idles."""
+            nonlocal fresh_done
+            point, attempt = worker.point, worker.attempt
+            worker.point = None
+            if error is None:
+                results[point] = payload
+                journal.append({"e": "done", "p": point, "attempt": attempt,
+                                "output": payload["output"]})
                 fresh_done += 1
                 if (plan is not None and plan.halt_after is not None
                         and fresh_done >= plan.halt_after):
@@ -320,76 +357,79 @@ class QueueExecutor:
                     # would — mid-campaign, journal intact, no cleanup.
                     os.kill(os.getpid(), signal.SIGKILL)
                 return
-            error = task.error
-            if error is None:
-                code = task.proc.exitcode
-                if code == 0:
-                    error = "worker exited without reporting a result"
-                elif code is not None and code < 0:
-                    error = (f"worker killed by signal "
-                             f"{signal.Signals(-code).name}")
-                else:
-                    error = f"worker died (exit code {code})"
-            journal.append({"e": "failed", "p": task.point,
-                            "attempt": task.attempt, "error": error})
-            if task.attempt >= self.max_attempts:
-                journal.append({"e": "quarantined", "p": task.point,
-                                "attempt": task.attempt})
-                quarantined[task.point] = error
+            journal.append({"e": "failed", "p": point, "attempt": attempt,
+                            "error": error})
+            if attempt >= self.max_attempts:
+                journal.append({"e": "quarantined", "p": point,
+                                "attempt": attempt})
+                quarantined[point] = error
             else:
-                delay = self.backoff_s(specs[task.point].fingerprint(),
-                                       task.attempt)
-                heapq.heappush(ready, (time.monotonic() + delay, task.point,
-                                       task.attempt + 1))
+                delay = self.backoff_s(specs[point].fingerprint(), attempt)
+                heapq.heappush(ready, (time.monotonic() + delay, point,
+                                       attempt + 1))
 
-        while ready or inflight:
-            now = time.monotonic()
-            while (ready and len(inflight) < self.jobs
-                   and ready[0][0] <= now):
-                _, point, attempt = heapq.heappop(ready)
-                launch(point, attempt)
-            deadlines = []
-            if ready:
-                deadlines.append(ready[0][0])
-            for task in inflight.values():
-                deadlines.append(task.last_hb + self.lease_s)
-                if self.point_timeout is not None:
-                    deadlines.append(task.started + self.point_timeout)
-            now = time.monotonic()
-            timeout = min(deadlines) - now if deadlines else 0.05
-            timeout = max(0.0, min(timeout, 0.25))
-            if inflight:
-                for conn in conn_wait(list(inflight), timeout):
-                    task = inflight.get(conn)
-                    if task is None:
-                        continue
+        try:
+            while ready or any(w.point is not None for w in workers.values()):
+                now = time.monotonic()
+                busy = [w for w in workers.values() if w.point is not None]
+                while (ready and len(busy) < self.jobs
+                       and ready[0][0] <= now):
+                    _, point, attempt = heapq.heappop(ready)
+                    busy.append(lease(point, attempt))
+                # A ready point is a deadline only while a slot is free:
+                # fresh points are ready from 0.0, so counting them with
+                # every slot busy would turn the wait below into a spin.
+                deadlines = ([ready[0][0]] if ready and len(busy) < self.jobs
+                             else [])
+                for worker in busy:
+                    deadlines.append(worker.last_hb + self.lease_s)
+                    if self.point_timeout is not None:
+                        deadlines.append(worker.started + self.point_timeout)
+                timeout = max(0.0, min(min(deadlines) - time.monotonic(),
+                                       0.25))
+                if workers:
+                    answered = conn_wait(list(workers), timeout)
+                else:
+                    time.sleep(timeout)
+                    answered = []
+                for conn in answered:
+                    worker = workers[conn]
                     try:
                         message = conn.recv()
                     except (EOFError, OSError):
-                        finish(task)       # worker gone without a result
+                        # gone without answering: let it finish exiting,
+                        # so its exit status says how it left
+                        retire(worker, _EXIT_GRACE_S)
+                        if worker.point is not None:
+                            settle(worker,
+                                   error=_exit_reason(worker.proc.exitcode))
                         continue
-                    kind = message[0]
-                    if kind == "hb":
-                        task.last_hb = time.monotonic()
-                    elif kind == "result":
-                        task.result = message[2]
-                        finish(task)
-                    elif kind == "error":
-                        task.error = message[2]
-                        finish(task)
-            elif timeout > 0:
-                time.sleep(timeout)
-            now = time.monotonic()
-            for task in list(inflight.values()):
-                if (self.point_timeout is not None
-                        and now - task.started > self.point_timeout):
-                    task.error = (f"point timeout: exceeded "
-                                  f"{self.point_timeout:g}s wall clock")
-                    finish(task)
-                elif now - task.last_hb > self.lease_s:
-                    task.error = (f"lease expired: no heartbeat for "
-                                  f"{self.lease_s:g}s")
-                    finish(task)
+                    if message[0] == "hb":
+                        worker.last_hb = time.monotonic()
+                    elif message[0] == "result":
+                        settle(worker, payload=message[2])
+                    else:
+                        settle(worker, error=message[2])
+                now = time.monotonic()
+                for worker in busy:
+                    if worker.point is None:
+                        continue                # answered above
+                    if (self.point_timeout is not None
+                            and now - worker.started > self.point_timeout):
+                        error = (f"point timeout: exceeded "
+                                 f"{self.point_timeout:g}s wall clock")
+                    elif now - worker.last_hb > self.lease_s:
+                        error = (f"lease expired: no heartbeat for "
+                                 f"{self.lease_s:g}s")
+                    else:
+                        continue
+                    retire(worker)
+                    settle(worker, error=error)
+        finally:
+            for worker in workers.values():
+                worker.conn.close()             # idle workers exit on EOF
+            for worker in list(workers.values()):
+                retire(worker, _EXIT_GRACE_S if worker.point is None else 0.0)
         return results
 
 

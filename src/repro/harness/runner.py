@@ -133,7 +133,7 @@ def run_experiment(
 
     ``jobs`` selects the executor: 1 runs every point inline (the
     historical behavior, byte-identical reports), >1 fans independent
-    points across a process pool.  ``cache_dir`` arms the
+    points across persistent worker processes.  ``cache_dir`` arms the
     content-addressed result cache there (None disables caching);
     already-computed points are then skipped and the hit/executed
     counters surface on the result.  ``trace_path`` writes a Chrome
@@ -145,13 +145,14 @@ def run_experiment(
     default off, in which case neither a tracer nor a sanitizer is
     attached and the simulation runs at full speed.
 
-    ``durable`` (implied by ``resume``, ``point_timeout``, or ``chaos``)
-    swaps in the crash-safe :class:`~repro.harness.queue.QueueExecutor`:
-    every point's lifecycle is journaled under ``journal_dir`` (default
-    ``<cache or .repro-cache>/journals``), failed points retry up to
-    ``max_attempts`` times with backoff and are then quarantined,
+    Every multi-process run goes through the
+    :class:`~repro.harness.queue.QueueExecutor`: failed points retry up
+    to ``max_attempts`` times with backoff and are then quarantined, and
     workers run under ``lease_timeout``-second heartbeat leases and an
-    optional per-point ``point_timeout`` wall-clock limit, and
+    optional per-point ``point_timeout`` wall-clock limit.  ``durable``
+    (implied by ``resume``, ``point_timeout``, or ``chaos``) runs the
+    queue even at one job and journals every point's lifecycle under
+    ``journal_dir`` (default ``<cache or .repro-cache>/journals``);
     ``resume=True`` replays the journal to execute only unfinished
     points — the final report is byte-identical to an uninterrupted run.
     ``chaos`` injects deterministic executor faults
@@ -181,25 +182,25 @@ def run_experiment(
         cache = ResultCache(cache_dir)
     from repro.harness.campaign import Campaign
 
-    executor = None
+    from repro.harness.executor import make_executor
+
     durable = durable or resume or chaos is not None or point_timeout is not None
-    if durable:
+    if not durable:
+        journal_dir = None
+    elif journal_dir is None:
         import os
 
         from repro.harness.cache import DEFAULT_CACHE_DIR
-        from repro.harness.queue import QueueExecutor
 
-        if journal_dir is None:
-            journal_dir = os.path.join(cache_dir or DEFAULT_CACHE_DIR,
-                                       "journals")
-        executor = QueueExecutor(
-            jobs=jobs, journal_dir=journal_dir, resume=resume,
-            max_attempts=max_attempts, lease_s=lease_timeout,
-            point_timeout=point_timeout, chaos=chaos,
-            meta={"experiment": experiment_id, "scale": scale},
-        )
-    campaign = Campaign(exp, scale=scale, faults=faults, jobs=jobs,
-                        cache=cache, executor=executor, chaos=chaos)
+        journal_dir = os.path.join(cache_dir or DEFAULT_CACHE_DIR, "journals")
+    executor = make_executor(
+        jobs, journal_dir=journal_dir, resume=resume,
+        max_attempts=max_attempts, lease_s=lease_timeout,
+        point_timeout=point_timeout, chaos=chaos,
+        meta={"experiment": experiment_id, "scale": scale},
+    )
+    campaign = Campaign(exp, scale=scale, faults=faults, cache=cache,
+                        executor=executor, chaos=chaos)
     trace = bool(trace_path) or breakdown or summary_dir is not None
     outcome = campaign.run(trace=trace, sanitize=sanitize,
                            profile=profile_dir is not None)

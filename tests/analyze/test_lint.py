@@ -1,14 +1,20 @@
-"""The static PGAS linter: each rule fires on its fixture, the repo is clean."""
+"""The legacy static rules (PGAS001-004, and PGAS009 for unknown noqa
+ids) fire on their fixtures with the flow passes off; the repo is clean."""
 
 from pathlib import Path
 
-from repro.analyze.lint import lint_paths, lint_source, main
+from repro.analyze.static import analyze_source, analyze_tree
+from repro.analyze.static.__main__ import main
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 
+def findings(source, path="pkg/mod.py"):
+    return analyze_source(source, path, flow=False).findings
+
+
 def codes(source, path="pkg/mod.py"):
-    return [v.code for v in lint_source(source, path)]
+    return [f.rule for f in findings(source, path)]
 
 
 class TestPGAS001Wallclock:
@@ -83,26 +89,28 @@ class TestMechanics:
         # an unrelated code does not suppress
         assert codes("t = time.time()  # noqa: PGAS002\n") == ["PGAS001"]
 
+    def test_unknown_noqa_id_flagged(self):
+        assert codes("x = 1  # noqa: PGAS999\n") == ["PGAS009"]
+
     def test_syntax_error_reported(self):
         assert codes("def f(:\n") == ["PGAS000"]
 
     def test_violation_str_is_clickable(self):
-        (v,) = lint_source("t = time.time()\n", "a/b.py")
-        assert str(v).startswith("a/b.py:1:")
-        assert "PGAS001" in str(v)
+        (finding,) = findings("t = time.time()\n", "a/b.py")
+        assert str(finding).startswith("a/b.py:1:")
+        assert "PGAS001" in str(finding)
 
     def test_main_exit_codes(self, tmp_path, capsys):
         bad = tmp_path / "bad.py"
         bad.write_text("t = time.time()\n")
-        assert main([str(bad)]) == 1
+        assert main([str(bad), "--no-flow"]) == 1
         assert "PGAS001" in capsys.readouterr().out
         good = tmp_path / "good.py"
         good.write_text("x = 1\n")
-        assert main([str(good)]) == 0
+        assert main([str(good), "--no-flow"]) == 0
 
 
 class TestRepoIsClean:
     def test_src_tree_has_no_findings(self):
-        # the CI gate (`python -m repro.analyze.lint src`), as a test
-        violations = lint_paths([SRC / "repro"])
-        assert violations == []
+        # the legacy rules hold over the whole package, baseline or not
+        assert analyze_tree(SRC / "repro", flow=False).findings == []

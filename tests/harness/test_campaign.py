@@ -14,10 +14,10 @@ from repro.harness.campaign import Campaign
 from repro.harness.executor import (
     ExecutionBatch,
     InlineExecutor,
-    ParallelExecutor,
     execute_spec,
     make_executor,
 )
+from repro.harness.queue import QueueExecutor
 from repro.harness.reporting import ExperimentResult
 from repro.harness.runner import EXPERIMENTS, Experiment, get_experiment
 from repro.harness.spec import RunSpec
@@ -63,14 +63,16 @@ class TestExecuteSpec:
 class TestExecutors:
     def test_make_executor_selects_by_jobs(self):
         assert isinstance(make_executor(1), InlineExecutor)
-        assert isinstance(make_executor(4), ParallelExecutor)
+        fanned = make_executor(4)
+        assert isinstance(fanned, QueueExecutor)
+        assert fanned.journal_dir is None   # a plain --jobs run: no journal
 
     def test_parallel_rejects_bad_jobs(self):
         with pytest.raises(ValueError, match="jobs"):
-            ParallelExecutor(0)
+            QueueExecutor(0)
 
     def test_empty_batch(self):
-        for executor in (InlineExecutor(), ParallelExecutor(2)):
+        for executor in (InlineExecutor(), QueueExecutor(2)):
             batch = executor.run([])
             assert isinstance(batch, ExecutionBatch)
             assert batch.outputs == [] and batch.tracers == []
@@ -78,12 +80,12 @@ class TestExecutors:
     def test_parallel_outputs_in_spec_order(self):
         specs = _toy_experiment().points("quick")
         inline = InlineExecutor().run(specs)
-        parallel = ParallelExecutor(3).run(specs)
+        parallel = QueueExecutor(3).run(specs)
         assert parallel.outputs == inline.outputs
 
     def test_parallel_trace_renumbers_run_index(self):
         specs = _toy_experiment().points("quick")
-        batch = ParallelExecutor(2).run(specs, trace=True)
+        batch = QueueExecutor(2).run(specs, trace=True)
         assert [t.run_index for t in batch.tracers] == [1, 2, 3]
         assert all(t.sim is None for t in batch.tracers)
 
@@ -133,8 +135,8 @@ class TestCampaign:
         assert warm.cache_hits == 3
 
     def test_parallel_campaign_same_result(self):
-        inline = Campaign(_toy_experiment(), jobs=1).run()
-        fanned = Campaign(_toy_experiment(), jobs=3).run()
+        inline = Campaign(_toy_experiment()).run()
+        fanned = Campaign(_toy_experiment(), executor=make_executor(3)).run()
         assert fanned.result.to_dict() == inline.result.to_dict()
 
 

@@ -7,14 +7,12 @@ on outputs identical to :class:`InlineExecutor` or degrades gracefully
 into quarantine.
 """
 
+import time
+
 import pytest
 
 from repro.harness.campaign import Campaign
-from repro.harness.executor import (
-    ExecutorError,
-    InlineExecutor,
-    ParallelExecutor,
-)
+from repro.harness.executor import ExecutorError, InlineExecutor
 from repro.harness.journal import CampaignJournal, campaign_fingerprint
 from repro.harness.queue import QueueExecutor
 from repro.harness.reporting import ExperimentResult
@@ -71,6 +69,8 @@ class TestValidation:
             QueueExecutor(1, journal_dir=tmp_path, lease_s=0)
         with pytest.raises(ValueError, match="point_timeout"):
             QueueExecutor(1, journal_dir=tmp_path, point_timeout=0)
+        with pytest.raises(ValueError, match="journal"):
+            QueueExecutor(1, resume=True)
 
     def test_empty_batch(self, tmp_path):
         batch = fast_queue(tmp_path).run([])
@@ -270,15 +270,50 @@ class TestResume:
             executor.run(specs)
 
 
-class TestBrokenPoolSatellite:
-    def test_parallel_executor_reports_dead_worker_clearly(self):
+class TestPersistentWorkers:
+    def test_one_worker_serves_every_point(self, tmp_path):
         specs = toy_specs()
-        executor = ParallelExecutor(2, chaos="kill:point=1,attempt=1")
-        with pytest.raises(ExecutorError, match="worker process died"):
-            executor.run(specs)
+        executor = fast_queue(tmp_path, jobs=1)
+        executor.run(specs)
+        leases = journal_events(executor, specs, "lease")
+        assert len(leases) == 3 and len({e["pid"] for e in leases}) == 1
 
-    def test_error_names_the_point_and_suggests_durable(self):
+    def test_app_exception_keeps_the_worker(self, tmp_path):
         specs = toy_specs()
-        executor = ParallelExecutor(2, chaos="kill:point=0,attempt=1")
-        with pytest.raises(ExecutorError, match="--durable"):
-            executor.run(specs)
+        executor = fast_queue(tmp_path, jobs=1,
+                              chaos="fail:point=0,attempt=1")
+        assert executor.run(specs).outputs == InlineExecutor().run(specs).outputs
+        leases = journal_events(executor, specs, "lease")
+        assert len(leases) == 4 and len({e["pid"] for e in leases}) == 1
+
+    def test_killed_worker_is_replaced(self, tmp_path):
+        specs = toy_specs()
+        executor = fast_queue(tmp_path, jobs=1,
+                              chaos="kill:point=0,attempt=1")
+        executor.run(specs)
+        pids = [e["pid"] for e in journal_events(executor, specs, "lease")]
+        assert len(pids) == 4 and pids[0] not in pids[1:]
+        assert len(set(pids[1:])) == 1
+
+    def test_coordinator_blocks_while_every_slot_is_busy(self, tmp_path):
+        # fresh points are ready from the start; with the only slot busy
+        # the coordinator must sleep on the worker's pipe, not spin
+        executor = QueueExecutor(jobs=1, journal_dir=tmp_path)
+        cpu, wall = time.process_time(), time.perf_counter()
+        executor.run(toy_specs())
+        cpu, wall = time.process_time() - cpu, time.perf_counter() - wall
+        assert cpu < 0.5 * wall, f"coordinator used {cpu:.3f}s CPU in {wall:.3f}s"
+
+
+class TestJournalLess:
+    """A plain ``--jobs N`` run: the same queue, nothing on disk."""
+
+    def test_killed_worker_retries_to_inline_outputs(self, tmp_path,
+                                                     monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        specs = toy_specs()
+        batch = QueueExecutor(2, retry_base_s=0.01,
+                              chaos="kill:point=1,attempt=1").run(specs)
+        assert batch.outputs == InlineExecutor().run(specs).outputs
+        assert batch.failures == []
+        assert list(tmp_path.iterdir()) == []       # no journal written

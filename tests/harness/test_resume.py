@@ -12,6 +12,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -21,14 +22,28 @@ import repro
 SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 
-def harness_cli(args, cwd):
+def cli_env():
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC_DIR + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
+    return env
+
+
+def harness_cli(args, cwd):
     return subprocess.run(
         [sys.executable, "-m", "repro.harness", *args],
-        cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
+        cwd=cwd, env=cli_env(), capture_output=True, text=True, timeout=300,
     )
+
+
+def running(pid):
+    """True while ``pid`` is a live process; a zombie has exited."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state = fh.read().rpartition(")")[2].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
 
 
 def journal_events(journal_dir):
@@ -107,6 +122,26 @@ class TestSigkillThenResume:
         body = "\n".join(line for line in out.read_text().splitlines()
                          if not line.startswith("(wall time"))
         assert body.rstrip("\n") == inline_report
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+    def test_halted_coordinator_leaves_no_workers(self, tmp_path):
+        # Popen rather than harness_cli: a worker outliving its
+        # coordinator would hold the captured output pipes open
+        journal_dir = tmp_path / "journals"
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.harness", "t3_1", "--no-cache",
+             "--jobs", "2", "--journal-dir", str(journal_dir),
+             "--chaos", "halt:after=1"],
+            cwd=tmp_path, env=cli_env(),
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+        assert proc.wait(timeout=300) == -signal.SIGKILL
+        pids = {e["pid"] for e in journal_events(journal_dir)
+                if e.get("e") == "lease"}
+        assert pids
+        deadline = time.monotonic() + 5.0
+        while any(running(p) for p in pids) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert [p for p in pids if running(p)] == []
 
     def test_chaos_kills_recover_without_resume(self, tmp_path,
                                                 inline_report):

@@ -52,7 +52,7 @@ class TestEngineMetrics:
 
     def test_metrics_survive_simulator_detach(self):
         tracer = _traced_run()
-        tracer.sim = None  # what the parallel executor does before pickling
+        tracer.sim = None  # what run_point does before pickling
         assert tracer.engine_metrics[names.ENGINE_EVENTS_POPPED] > 0
 
     def test_same_seed_same_tallies(self):
