@@ -150,7 +150,13 @@ def measure(repeats: int = DEFAULT_REPEATS) -> Dict[str, object]:
 
 
 def find_baseline(path: Path) -> Path:
-    """A baseline file, or the newest ``BENCH_*.json`` in a directory."""
+    """A baseline file, or the newest ``BENCH_*.json`` in a directory.
+
+    Newest means the latest ``generated`` stamp, then rev: the order
+    ``python -m repro.obs.analytics trend`` puts baselines in.
+    """
+    from repro.obs.analytics.trend import baseline_order
+
     if path.is_file():
         return path
     candidates = sorted(path.glob("BENCH_*.json")) if path.is_dir() else []
@@ -159,7 +165,8 @@ def find_baseline(path: Path) -> Path:
             f"no BENCH_*.json baseline under {path} (run emit_baseline.py "
             "--out first)"
         )
-    return max(candidates, key=lambda p: p.stat().st_mtime)
+    return max(candidates,
+               key=lambda p: baseline_order(json.loads(p.read_text()), p))
 
 
 def check(baseline_path: Path, tolerance: float, repeats: int,

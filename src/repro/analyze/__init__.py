@@ -3,9 +3,9 @@
 Two halves (DESIGN.md §9, §14):
 
 * **Dynamic sanitizer** (:mod:`repro.analyze.sanitizer`) — a run-time
-  checker armed with :func:`sanitize_session`, off by default and
-  near-zero-cost when off (the same NULL-object discipline as the
-  tracer).  Three checkers share one happens-before engine:
+  checker armed with ``repro.obs.session.instrument(..., sanitize=True)``,
+  off by default and near-zero-cost when off (the same guarded hook
+  sites as the tracer).  Three checkers share one happens-before engine:
 
   - a vector-clock **data-race detector** over :class:`SharedArray`
     element/block accesses,
@@ -19,31 +19,9 @@ Two halves (DESIGN.md §9, §14):
   over the source tree with repo-specific rules (PGAS001-012), gated
   against a committed baseline by ``python -m repro.analyze.static
   --check``.
-
-This package must stay importable with the standard library alone (plus
-:mod:`repro.obs`, which shares that constraint): the simulation kernel
-imports :data:`NULL_SANITIZER` at module load.
 """
 
 from repro.analyze.findings import Finding, render_findings
-from repro.analyze.sanitizer import (
-    NULL_SANITIZER,
-    NullSanitizer,
-    SanitizeSession,
-    Sanitizer,
-    active_sanitize_session,
-    sanitize_session,
-    sanitizer_for,
-)
+from repro.analyze.sanitizer import Sanitizer
 
-__all__ = [
-    "Finding",
-    "render_findings",
-    "NULL_SANITIZER",
-    "NullSanitizer",
-    "Sanitizer",
-    "SanitizeSession",
-    "active_sanitize_session",
-    "sanitize_session",
-    "sanitizer_for",
-]
+__all__ = ["Finding", "render_findings", "Sanitizer"]

@@ -1,11 +1,11 @@
 """The dynamic PGAS sanitizer: vector clocks + three checkers.
 
-Arming follows the tracer discipline exactly (:mod:`repro.obs.session`):
-a module-global :func:`sanitize_session` context manager; while one is
-active every :class:`~repro.upc.runtime.UpcProgram` constructed attaches
-a fresh :class:`Sanitizer` to its simulator, otherwise the simulator
-keeps the shared :data:`NULL_SANITIZER` whose class-level
-``enabled = False`` lets every hook site bail in one attribute load.
+Arming goes through :func:`repro.obs.session.instrument`: while a
+session with ``sanitize=True`` is active, every
+:class:`~repro.upc.runtime.UpcProgram` constructed attaches a fresh
+:class:`Sanitizer` to its simulator.  Otherwise the simulator keeps the
+engine's shared off-sink, whose ``enabled = False`` lets every hook site
+bail in one attribute load.
 
 The sanitizer is an *observer*: it never yields, never charges simulated
 cost, and never consumes random numbers, so a sanitized run's simulated
@@ -39,21 +39,12 @@ per superstep) shadow state, not O(run).
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Dict, List, Optional, Tuple
 
 from repro.analyze.findings import Finding
 from repro.obs import names
 
-__all__ = [
-    "Sanitizer",
-    "NullSanitizer",
-    "NULL_SANITIZER",
-    "SanitizeSession",
-    "sanitize_session",
-    "sanitizer_for",
-    "active_sanitize_session",
-]
+__all__ = ["Sanitizer"]
 
 #: Findings kept per checker before summarizing (protects pathological
 #: fixtures from quadratic report blowup; the counter keeps exact totals).
@@ -67,27 +58,6 @@ _CHECKER_COUNTERS = {
     "privatization": names.SAN_PRIVATIZATION_FINDINGS,
     "collective": names.SAN_COLLECTIVE_FINDINGS,
 }
-
-
-class NullSanitizer:
-    """Shared no-op: ``sim.sanitizer`` when no session is active.
-
-    Class-level ``enabled`` so the hot-path guard
-    ``if sim.sanitizer.enabled:`` costs two attribute loads and no
-    branches into sanitizer code.
-    """
-
-    enabled = False
-    findings: tuple = ()
-
-    def finalize(self) -> tuple:
-        return ()
-
-    def mark_dead(self, thread: int) -> None:
-        pass
-
-
-NULL_SANITIZER = NullSanitizer()
 
 
 def _key_label(key: tuple) -> str:
@@ -459,57 +429,3 @@ class Sanitizer:
                 )
             )
         return self.findings
-
-
-# -- session arming (mirrors repro.obs.session) ----------------------------
-
-_ACTIVE: Optional["SanitizeSession"] = None
-
-
-class SanitizeSession:
-    """Collects the sanitizers of every program started while active."""
-
-    def __init__(self, label: str = "sanitize"):
-        self.label = label
-        self.sanitizers: List[Sanitizer] = []
-
-    @property
-    def findings(self) -> List[Finding]:
-        out: List[Finding] = []
-        for s in self.sanitizers:
-            out.extend(s.findings)
-        return out
-
-    def new_sanitizer(self, program) -> Sanitizer:
-        san = Sanitizer(program)
-        self.sanitizers.append(san)
-        return san
-
-
-def active_sanitize_session() -> Optional[SanitizeSession]:
-    return _ACTIVE
-
-
-def sanitizer_for(program):
-    """A fresh Sanitizer when a session is active, else the no-op."""
-    if _ACTIVE is None:
-        return NULL_SANITIZER
-    return _ACTIVE.new_sanitizer(program)
-
-
-@contextmanager
-def sanitize_session(label: str = "sanitize"):
-    """Arm the sanitizer for the ``with`` body; yields the session.
-
-    Sessions do not nest (same rationale as trace sessions: two sessions
-    silently splitting a run's findings would be a debugging trap).
-    """
-    global _ACTIVE
-    if _ACTIVE is not None:
-        raise RuntimeError("a sanitize session is already active")
-    session = SanitizeSession(label)
-    _ACTIVE = session
-    try:
-        yield session
-    finally:
-        _ACTIVE = None

@@ -22,12 +22,12 @@ wall-clock reads), so scheduling cannot change results — only wall time.
 
 from __future__ import annotations
 
-from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from repro.errors import ExecutorError
 from repro.harness.spec import RunSpec
+from repro.obs.session import instrument
 
 __all__ = [
     "ExecutionBatch",
@@ -67,7 +67,7 @@ def execute_spec(spec: RunSpec) -> Dict[str, Any]:
 
 def run_point(spec: RunSpec, trace: bool = False, sanitize: bool = False,
               profile: bool = False) -> Dict[str, Any]:
-    """One spec inside its own trace/sanitize/profile sessions → payload.
+    """One spec inside its own instrumentation session → payload.
 
     The only place per-point sessions are opened.  The payload pickles:
     tracers are detached from their simulator (``sim`` holds generators,
@@ -76,30 +76,18 @@ def run_point(spec: RunSpec, trace: bool = False, sanitize: bool = False,
     tracer's own lists.
     """
     payload = dict(_NO_PAYLOAD)
-    with ExitStack() as stack:
-        san_session = session = psession = None
-        if sanitize:
-            from repro.analyze.sanitizer import sanitize_session
-
-            san_session = stack.enter_context(sanitize_session(spec.app))
-        if trace:
-            from repro.obs.session import trace_session
-
-            session = stack.enter_context(trace_session(spec.app))
-        if profile:
-            from repro.obs.profile import profile_session
-
-            psession = stack.enter_context(profile_session(spec.app))
+    with instrument(spec.app, trace=trace, sanitize=sanitize,
+                    profile=profile) as session:
         payload["output"] = execute_spec(spec)
-    if psession is not None:
-        payload["profile"] = psession.snapshot()
-    if session is not None:
+    if profile:
+        payload["profile"] = session.snapshot()
+    if trace:
         for tracer in session.tracers:
             tracer.sim = None
         payload["tracers"] = list(session.tracers)
-    if san_session is not None:
-        payload["findings"] = [f.row() for f in san_session.findings]
-        payload["sanitizer_runs"] = len(san_session.sanitizers)
+    if sanitize:
+        payload["findings"] = [f.row() for f in session.findings]
+        payload["sanitizer_runs"] = len(session.sanitizers)
     return payload
 
 
@@ -116,7 +104,7 @@ class ExecutionBatch:
     #: Empty unless the batch was traced; a quarantined point's slot is
     #: an empty list.  The campaign summarizer keys on this grouping.
     tracer_groups: List[List[Any]] = field(default_factory=list)
-    #: per-point profile snapshots (:meth:`ProfileSession.snapshot`), in
+    #: per-point profile snapshots (:meth:`InstrumentSession.snapshot`), in
     #: spec order; empty unless the batch was profiled.  A quarantined
     #: point's slot is None — merged profiles cover only healthy points.
     profiles: List[Optional[Dict[str, Any]]] = field(default_factory=list)

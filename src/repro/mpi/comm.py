@@ -26,9 +26,7 @@ from repro.machine.memory import MemorySystem
 from repro.machine.presets import PlatformPreset, generic_smp
 from repro.network.conduits import conduit as lookup_conduit
 from repro.obs import names
-from repro.obs.profile.session import profiler_for
-from repro.obs.session import tracer_for
-from repro.obs.tracer import thread_track
+from repro.obs.session import arm
 from repro.sim import Event, Simulator, StatsCollector, Store
 from repro.upc.runtime import ProgramResult
 
@@ -80,17 +78,12 @@ class MpiProgram:
         self.ranks = ranks
         self.params = params or MpiParams()
         self.sim = Simulator()
-        # Attach the tracer before any stack layer is built so fabric and
-        # runtime construction can declare their tracks (no-op when no
-        # trace session is active).
-        self.sim.tracer = tracer_for(self.sim, label=f"mpi x{ranks}")
-        if self.sim.tracer.enabled:
-            for r in range(ranks):
-                self.sim.tracer.declare_track(thread_track(r))
         self.topo = self.preset.topology()
-        # Arm the cost profiler (no-op outside a profile_session).
-        self.sim.profiler = profiler_for(self.sim)
         self.stats = StatsCollector(self.sim)
+        # Arm the instrumentation sinks before any stack layer is built
+        # (see UpcProgram); MPI runs are traced and profiled, never
+        # sanitized.
+        arm(self.sim, f"mpi x{ranks}", ranks)
         self.mem = MemorySystem(self.sim, self.topo, self.preset.memory)
         if ranks_per_node is None:
             ranks_per_node = -(-ranks // self.topo.total_nodes)

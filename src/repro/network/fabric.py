@@ -212,65 +212,102 @@ class Fabric:
         The caller is responsible for charging ``send_overhead`` on the
         sending core (the fabric does not know about cores).
         """
+        return self._move(src_id, dst_id, nbytes, read=False)
+
+    def fetch(self, initiator_id: int, target_id: int, nbytes: float) -> Generator:
+        """Simulated generator: RDMA-read ``nbytes`` from ``target_id``.
+
+        The initiator's connection carries the read (its queue pair is
+        occupied for the duration, like a hardware RDMA READ); data drains
+        target→initiator through the reverse NIC pipes after the request
+        and response flights.  No CPU is charged at the target.
+        """
+        return self._move(initiator_id, target_id, nbytes, read=True)
+
+    def _move(self, initiator_id: int, peer_id: int, nbytes: float,
+              read: bool) -> Generator:
+        """The one data-movement path: a send to, or a read from, ``peer_id``.
+
+        The initiator's connection injects either way.  A read differs
+        from a send only in direction and latency: its data flows
+        peer→initiator (the peer's tx pipe, the initiator's rx pipe, the
+        peer→initiator comm-matrix cell), and across nodes it pays the
+        wire latency twice, request then response, before data arrives.
+
+        This generator and :meth:`_wire_leg` keep few locals on purpose:
+        the simulator holds every process it spawned, finished
+        generators (and their frames) included, for the whole run, so
+        each local costs one word per message sent.
+        """
         if nbytes < 0:
             raise NetworkError(f"negative message size: {nbytes}")
-        src = self.endpoint(src_id)
-        dst = self.endpoint(dst_id)
-        p = self.params
+        ini = self.endpoint(initiator_id)
+        peer = self.endpoint(peer_id)
         self.stats.count(names.NET_MESSAGES)
         self.stats.add(names.NET_BYTES, nbytes)
         if self.sim.tracer.enabled:
-            self.sim.tracer.comm(src.node_index, dst.node_index, nbytes)
+            if read:  # the matrix cell follows the data
+                self.sim.tracer.comm(peer.node_index, ini.node_index, nbytes)
+            else:
+                self.sim.tracer.comm(ini.node_index, peer.node_index, nbytes)
 
         # Injection: serialized on the (possibly shared) connection.  The
         # wire leg runs concurrently — packets pipeline — so delivery
         # completes at max(injection end, latency + NIC drain end).
-        conn = src.connection
+        conn = ini.connection
         yield conn.injector.acquire()
         conn.messages += 1
         conn.bytes += nbytes
-        fate = self._message_fate(src, dst)
+        fate = self._message_fate(ini, peer)
         self._conn_activity(conn, +1)
         try:
-            injection = self.sim.delay(p.gap + nbytes / p.connection_bw)
+            injection = self.sim.delay(
+                self.params.gap + nbytes / self.params.connection_bw)
             injection.add_callback(lambda _ev: conn.injector.release())
             if fate == "lost":
                 # The sender pays injection; delivery never happens.  A
                 # reliable upper layer must race us against a timeout.
                 yield from self._black_hole()
             wire = self.sim.spawn(
-                self._wire_leg(src, dst, nbytes), name="fabric.wire"
+                self._wire_leg(ini, peer, nbytes, read),
+                name="fabric.fetchwire" if read else "fabric.wire",
             )
             yield self.sim.all_of([injection, wire])
             if fate == "corrupt":
                 raise MessageCorruptedError(
-                    f"message {src.endpoint_id}->{dst.endpoint_id} "
-                    f"({nbytes:g} B) failed integrity check"
+                    (f"read {ini.endpoint_id}<-{peer.endpoint_id}" if read
+                     else f"message {ini.endpoint_id}->{peer.endpoint_id}")
+                    + f" ({nbytes:g} B) failed integrity check"
                 )
         finally:
             self._conn_activity(conn, -1)
 
-    def _wire_leg(self, src: Endpoint, dst: Endpoint, nbytes: float) -> Generator:
-        p = self.params
-        if src.node_index == dst.node_index:
+    def _wire_leg(self, ini: Endpoint, peer: Endpoint, nbytes: float,
+                  read: bool) -> Generator:
+        if ini.node_index == peer.node_index:
             # Intra-node traffic through the network API loops back through
             # the adapter itself (the ibv conduit's behaviour without
             # PSHM), so it competes with inter-node traffic on the NIC
             # pipes — which is exactly why Fig 3.4's PSHM gains grow with
             # thread density.
             self.stats.count(names.NET_LOOPBACK_MESSAGES)
-            yield self.sim.delay(p.loopback_latency)
-            node = src.node_index
+            yield self.sim.delay(self.params.loopback_latency)
             yield from self._drain(
-                (self.loopback[node], self.nic_tx[node], self.nic_rx[node]),
-                nbytes, "loop", src.endpoint_id, dst.endpoint_id,
+                (self.loopback[ini.node_index], self.nic_tx[ini.node_index],
+                 self.nic_rx[ini.node_index]),
+                nbytes, "loopread" if read else "loop",
+                ini.endpoint_id, peer.endpoint_id,
             )
             return
-        yield self.sim.delay(p.latency)
-        yield from self._drain(
-            (self.nic_tx[src.node_index], self.nic_rx[dst.node_index]),
-            nbytes, "xfer", src.endpoint_id, dst.endpoint_id,
-        )
+        if read:
+            # The request flight precedes the response flight.
+            yield self.sim.delay(2 * self.params.latency)
+            pipes = (self.nic_tx[peer.node_index], self.nic_rx[ini.node_index])
+        else:
+            yield self.sim.delay(self.params.latency)
+            pipes = (self.nic_tx[ini.node_index], self.nic_rx[peer.node_index])
+        yield from self._drain(pipes, nbytes, "read" if read else "xfer",
+                               ini.endpoint_id, peer.endpoint_id)
 
     def _drain(self, pipes, nbytes: float, kind: str, a: int, b: int) -> Generator:
         """Drain ``nbytes`` through every pipe, tracing one span per link.
@@ -306,67 +343,6 @@ class Fabric:
             tracer.end(span_id)
             tracer.counter(link_track(pipe.name), "inflight",
                            pipe.active_transfers)
-
-    def fetch(self, initiator_id: int, target_id: int, nbytes: float) -> Generator:
-        """Simulated generator: RDMA-read ``nbytes`` from ``target_id``.
-
-        The initiator's connection carries the read (its queue pair is
-        occupied for the duration, like a hardware RDMA READ); data drains
-        target→initiator through the reverse NIC pipes after a one-way
-        request latency.  No CPU is charged at the target.
-        """
-        if nbytes < 0:
-            raise NetworkError(f"negative message size: {nbytes}")
-        ini = self.endpoint(initiator_id)
-        tgt = self.endpoint(target_id)
-        p = self.params
-        self.stats.count(names.NET_MESSAGES)
-        self.stats.add(names.NET_BYTES, nbytes)
-        if self.sim.tracer.enabled:
-            # data flows target -> initiator in a read
-            self.sim.tracer.comm(tgt.node_index, ini.node_index, nbytes)
-
-        conn = ini.connection
-        yield conn.injector.acquire()
-        conn.messages += 1
-        conn.bytes += nbytes
-        fate = self._message_fate(ini, tgt)
-        self._conn_activity(conn, +1)
-        try:
-            injection = self.sim.delay(p.gap + nbytes / p.connection_bw)
-            injection.add_callback(lambda _ev: conn.injector.release())
-            if fate == "lost":
-                yield from self._black_hole()
-            wire = self.sim.spawn(
-                self._fetch_wire_leg(ini, tgt, nbytes), name="fabric.fetchwire"
-            )
-            yield self.sim.all_of([injection, wire])
-            if fate == "corrupt":
-                raise MessageCorruptedError(
-                    f"read {ini.endpoint_id}<-{tgt.endpoint_id} "
-                    f"({nbytes:g} B) failed integrity check"
-                )
-        finally:
-            self._conn_activity(conn, -1)
-
-    def _fetch_wire_leg(self, ini: Endpoint, tgt: Endpoint, nbytes: float) -> Generator:
-        p = self.params
-        if ini.node_index == tgt.node_index:
-            self.stats.count(names.NET_LOOPBACK_MESSAGES)
-            yield self.sim.delay(p.loopback_latency)
-            node = ini.node_index
-            yield from self._drain(
-                (self.loopback[node], self.nic_tx[node], self.nic_rx[node]),
-                nbytes, "loopread", ini.endpoint_id, tgt.endpoint_id,
-            )
-            return
-        # Request flight + response flight: a read pays the wire twice
-        # before data starts arriving.
-        yield self.sim.delay(2 * p.latency)
-        yield from self._drain(
-            (self.nic_tx[tgt.node_index], self.nic_rx[ini.node_index]),
-            nbytes, "read", ini.endpoint_id, tgt.endpoint_id,
-        )
 
     def analytic_message_time(self, src_id: int, dst_id: int, nbytes: float) -> float:
         """Uncontended transmit time (tests and back-of-envelope checks)."""

@@ -3,20 +3,16 @@
 The pieces:
 
 * :mod:`repro.obs.names` — the metric-name and span-category registry.
-* :mod:`repro.obs.tracer` — :class:`Tracer` / :data:`NULL_TRACER`,
-  recording simulated-time spans, instants and counter samples.
-* :mod:`repro.obs.session` — :func:`trace_session` arms tracing for a
-  region of host code; programs pick up a tracer via :func:`tracer_for`.
+* :mod:`repro.obs.tracer` — :class:`Tracer`, recording simulated-time
+  spans, instants and counter samples.
+* :mod:`repro.obs.session` — :func:`instrument` arms tracing,
+  sanitizing and profiling for a region of host code; every program
+  constructed inside picks up its sinks via :func:`arm`.
 * :mod:`repro.obs.export` — Chrome trace-event / Perfetto JSON export.
 * :mod:`repro.obs.critical_path` — attribution of end-to-end simulated
   time to compute/network/barrier/steal, plus comm-matrix and per-link
   utilization reports.
 * :mod:`repro.obs.validate` — trace-event schema checks for tests/CI.
-
-Everything here is stdlib-only: :mod:`repro.sim.engine` imports
-:data:`NULL_TRACER` at module load, so this package must never import
-simulation layers at import time (tracers receive the simulator by
-argument instead).
 """
 
 from repro.obs import names
@@ -31,16 +27,9 @@ from repro.obs.export import (
     dump_chrome_trace,
     write_chrome_trace,
 )
-from repro.obs.session import (
-    TraceSession,
-    active_session,
-    trace_session,
-    tracer_for,
-)
+from repro.obs.session import InstrumentSession, arm, instrument
 from repro.obs.tracer import (
     META_TRACK,
-    NULL_TRACER,
-    NullTracer,
     Span,
     Tracer,
     link_track,
@@ -50,9 +39,9 @@ from repro.obs.tracer import (
 
 __all__ = [
     "names",
-    "Tracer", "NullTracer", "NULL_TRACER", "Span",
+    "Tracer", "Span",
     "thread_track", "link_track", "node_track", "META_TRACK",
-    "TraceSession", "trace_session", "tracer_for", "active_session",
+    "InstrumentSession", "instrument", "arm",
     "chrome_trace_events", "dump_chrome_trace", "write_chrome_trace",
     "attribute_run", "breakdown_rows", "comm_matrix_rows",
     "link_utilization_rows",

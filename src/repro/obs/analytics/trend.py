@@ -58,10 +58,18 @@ class TrendPoint:
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
+def baseline_order(doc: Dict[str, Any], path: Path) -> Tuple[str, str]:
+    """A BENCH baseline's age key: ``generated`` stamp, then rev.
+
+    The one ordering of baselines; file mtimes are no substitute, since a
+    git checkout gives every file the same one.
+    """
+    return (str(doc.get("generated", "")), str(doc.get("rev", path.stem)))
+
+
 def _point_from_bench(doc: Dict[str, Any], path: Path) -> TrendPoint:
-    rev = str(doc.get("rev", path.stem))
-    point = TrendPoint(label=rev, kind="baseline",
-                       order=(str(doc.get("generated", "")), rev))
+    order = baseline_order(doc, path)
+    point = TrendPoint(label=order[1], kind="baseline", order=order)
     for exp, row in sorted(doc.get("experiments", {}).items()):
         for key in ("normalized", "wall_s", "events"):
             if key in row:

@@ -10,16 +10,16 @@ does the pure-Python engine spend time?  Two complementary answers:
   wall times are auxiliary and jitter with the host.
 * **cost** (:mod:`~repro.obs.profile.cost`): simulated costed cycles,
   scheduled events and context switches per (experiment phase, site),
-  fed by engine hooks behind the same NULL-object discipline as the
-  tracer.  Byte-deterministic across runs, executors and job counts.
+  fed by engine hooks behind the same guarded sites as the tracer.
+  Byte-deterministic across runs, executors and job counts.
 
-Arm both with :func:`profile_session`; the harness does so per point
-under ``--profile <dir>`` and writes ``<label>-{host,cost}.{json,folded}``
-via :mod:`~repro.obs.profile.report`.  ``python -m repro.obs.profile``
+Arm both with ``repro.obs.session.instrument(..., profile=True)``; the
+harness does so per point under ``--profile <dir>`` and writes
+``<label>-{host,cost}.{json,folded}`` via :mod:`~repro.obs.profile.report`.  ``python -m repro.obs.profile``
 validates and ranks existing profile files.
 """
 
-from repro.obs.profile.cost import NO_PHASE, NULL_PROFILER, CostProfiler, NullCostProfiler
+from repro.obs.profile.cost import NO_PHASE, CostProfiler
 from repro.obs.profile.host import HostProfiler
 from repro.obs.profile.report import (
     PROFILE_SCHEMA,
@@ -30,19 +30,12 @@ from repro.obs.profile.report import (
     validate_profile,
     write_profiles,
 )
-from repro.obs.profile.session import (
-    ProfileSession,
-    active_profile_session,
-    profile_session,
-    profiler_for,
-)
 from repro.obs.profile.sites import KNOWN_SITES, SITE_OTHER, site_for_callable, site_for_code
 
 __all__ = [
-    "CostProfiler", "NullCostProfiler", "NULL_PROFILER", "NO_PHASE",
+    "CostProfiler", "NO_PHASE",
     "HostProfiler",
     "PROFILE_SCHEMA", "host_document", "cost_document", "merge_snapshots",
     "folded_lines", "validate_profile", "write_profiles",
-    "ProfileSession", "profile_session", "profiler_for", "active_profile_session",
     "KNOWN_SITES", "SITE_OTHER", "site_for_code", "site_for_callable",
 ]

@@ -15,8 +15,8 @@ per code object, and every tally is a pure function of the simulation —
 a cost profile is **byte-deterministic** across runs, executors and job
 counts, unlike the host profile whose wall times it complements.
 
-Hook discipline mirrors the tracer and sanitizer: ``Simulator.profiler``
-defaults to :data:`NULL_PROFILER` and hot paths guard with
+Hook discipline matches the tracer and sanitizer: ``Simulator.profiler``
+starts as the engine's shared off-sink and hot paths guard with
 ``if profiler.enabled:``, so unprofiled runs pay one attribute load and
 a predicted branch per site.
 """
@@ -28,7 +28,7 @@ from typing import Dict, List, Tuple
 
 from repro.obs.profile.sites import SITE_OTHER, site_for_callable, site_for_code
 
-__all__ = ["CostProfiler", "NullCostProfiler", "NULL_PROFILER", "NO_PHASE"]
+__all__ = ["CostProfiler", "NO_PHASE"]
 
 #: Phase bucket for work charged outside any open phase timer.
 NO_PHASE = "(no phase)"
@@ -42,28 +42,7 @@ _WALK_LIMIT = 16
 _PLUMBING = ("engine.", "obs.")
 
 
-class NullCostProfiler:
-    """The disabled profiler: every hook is a no-op (NULL-object)."""
-
-    enabled = False
-
-    def event_scheduled(self, fn, costed: bool) -> None:
-        pass
-
-    def context_switch(self, process) -> None:
-        pass
-
-    def phase_started(self, name: str) -> None:
-        pass
-
-    def phase_ended(self, name: str) -> None:
-        pass
-
-
-NULL_PROFILER = NullCostProfiler()
-
-
-class CostProfiler(NullCostProfiler):
+class CostProfiler:
     """Accumulates (phase, site) → [events, costed cycles, switches]."""
 
     enabled = True

@@ -1,68 +1,135 @@
-"""Trace sessions: turning tracing on for a region of host code.
+"""Instrumentation sessions: one context arms tracing, sanitizing, profiling.
 
-Tracing is off by default; a :func:`trace_session` context manager arms
-it.  While a session is active, every :class:`~repro.upc.runtime.UpcProgram`
-(or :class:`~repro.mpi.comm.MpiProgram`) constructed asks the session for
-a fresh :class:`~repro.obs.tracer.Tracer` via :func:`tracer_for` and
-attaches it to its simulator; outside a session :func:`tracer_for`
-returns the shared no-op :data:`~repro.obs.tracer.NULL_TRACER`.
+Instrumentation is off by default: every :class:`~repro.sim.Simulator`
+starts with the engine's shared off-sink as its tracer, sanitizer and
+profiler.  An :func:`instrument` context manager turns on the parts it
+is asked for.  While it is active, every
+:class:`~repro.upc.runtime.UpcProgram` (or
+:class:`~repro.mpi.comm.MpiProgram`) constructed calls :func:`arm`,
+which attaches to the program's simulator:
 
-One session can therefore span many simulated runs (a harness experiment
-like ``f4_2`` constructs ~30 programs); each run becomes its own process
-group in the exported trace.
+* ``trace`` — a fresh :class:`~repro.obs.tracer.Tracer` per run;
+* ``sanitize`` — a fresh :class:`~repro.analyze.sanitizer.Sanitizer`
+  per UPC program (MPI programs stay unsanitized);
+* ``profile`` — the session's one shared
+  :class:`~repro.obs.profile.cost.CostProfiler`, while the session's
+  :class:`~repro.obs.profile.host.HostProfiler` covers the whole body
+  (``sys.setprofile`` is process-global, so one wall-clock profile per
+  session is the honest granularity).
+
+One session can therefore span many simulated runs (a harness
+experiment like ``f4_2`` constructs ~30 programs); each run becomes its
+own process group in the exported trace.  The sanitizer and profilers
+are imported only when their flag is set.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer, thread_track
 
-__all__ = ["TraceSession", "trace_session", "tracer_for", "active_session"]
+__all__ = ["InstrumentSession", "instrument", "arm"]
 
-#: The module-global active session (None when tracing is off).
-_ACTIVE: Optional["TraceSession"] = None
+#: The module-global active session (None when instrumentation is off).
+_ACTIVE: Optional["InstrumentSession"] = None
 
 
-class TraceSession:
-    """Collects the tracers of every simulated run started while active."""
+class InstrumentSession:
+    """The tracers, sanitizers and profilers of one instrumented region."""
 
-    def __init__(self, label: str = "session"):
+    def __init__(self, label: str, *, trace: bool = False,
+                 sanitize: bool = False, profile: bool = False):
         self.label = label
+        self.trace = trace
+        self.sanitize = sanitize
         self.tracers: List[Tracer] = []
+        self.sanitizers: List[Any] = []
+        #: the shared cost profiler and the host profiler (None unless
+        #: ``profile``)
+        self.cost = self.host = None
+        if profile:
+            from repro.obs.profile.cost import CostProfiler
+            from repro.obs.profile.host import HostProfiler
 
-    def new_tracer(self, sim, label: str) -> Tracer:
-        tracer = Tracer(sim, label=label, run_index=len(self.tracers) + 1)
-        self.tracers.append(tracer)
-        return tracer
+            self.cost = CostProfiler()
+            self.host = HostProfiler()
+
+    @property
+    def findings(self) -> List[Any]:
+        """Every armed sanitizer's findings, in program order."""
+        return [f for san in self.sanitizers for f in san.findings]
+
+    def snapshot(self) -> Dict[str, Any]:
+        """The profilers' tallies as a plain JSON-able (picklable) dict.
+
+        This is the per-point payload executors ship back from workers;
+        :func:`repro.obs.profile.report.merge_snapshots` re-aggregates.
+        """
+        return {
+            "host": [
+                [list(path), calls, wall_ns]
+                for path, (calls, wall_ns) in sorted(self.host.stats.items())
+            ],
+            "cost": [
+                [phase, site, events, cycles, switches]
+                for (phase, site), (events, cycles, switches)
+                in sorted(self.cost.tallies.items())
+            ],
+        }
 
 
-def active_session() -> Optional[TraceSession]:
-    return _ACTIVE
+def arm(sim, label: str, threads: int, program=None) -> None:
+    """Attach the active session's sinks to ``sim``; the only arming site.
 
+    Call it once per program, after its ``StatsCollector`` exists (the
+    sanitizer reads ``program.stats``) and before the memory system and
+    fabric are built (they declare their trace tracks after the
+    ``threads`` thread tracks declared here).  ``program`` is the UPC
+    program to sanitize; None leaves the run unsanitized.  Outside a
+    session, and for every part the session leaves off, the simulator
+    keeps its off-sink.
+    """
+    session = _ACTIVE
+    if session is None:
+        return
+    if session.trace:
+        tracer = Tracer(sim, label=label, run_index=len(session.tracers) + 1)
+        for t in range(threads):
+            tracer.declare_track(thread_track(t))
+        session.tracers.append(tracer)
+        sim.tracer = tracer
+    if session.sanitize and program is not None:
+        from repro.analyze.sanitizer import Sanitizer
 
-def tracer_for(sim, label: str = "run"):
-    """A fresh Tracer when a session is active, else the no-op tracer."""
-    if _ACTIVE is None:
-        return NULL_TRACER
-    return _ACTIVE.new_tracer(sim, label)
+        sanitizer = Sanitizer(program)
+        session.sanitizers.append(sanitizer)
+        sim.sanitizer = sanitizer
+    if session.cost is not None:
+        sim.profiler = session.cost
 
 
 @contextmanager
-def trace_session(label: str = "session"):
-    """Arm tracing for the ``with`` body; yields the :class:`TraceSession`.
+def instrument(label: str, *, trace: bool = False, sanitize: bool = False,
+               profile: bool = False):
+    """Arm instrumentation for the ``with`` body; yields the session.
 
-    Sessions do not nest: re-entering while one is active raises, because
-    two sessions silently splitting a run's tracers would be a debugging
-    trap.
+    Sessions do not nest: two sessions silently splitting a run's
+    tracers or findings would be a debugging trap, and a second host
+    profiler would steal the first one's ``sys.setprofile`` hook.
     """
     global _ACTIVE
     if _ACTIVE is not None:
-        raise RuntimeError("a trace session is already active")
-    session = TraceSession(label)
+        raise RuntimeError("an instrumentation session is already active")
+    session = InstrumentSession(label, trace=trace, sanitize=sanitize,
+                                profile=profile)
     _ACTIVE = session
+    if session.host is not None:
+        session.host.start()
     try:
         yield session
     finally:
+        if session.host is not None:
+            session.host.stop()
         _ACTIVE = None

@@ -3,9 +3,10 @@
 A :class:`Tracer` records what one simulated run *did* on a set of named
 **tracks** — one per simulated UPC thread, one per NIC pipe, one per
 machine node — in simulated time.  Layers emit through narrow hook
-methods (``begin``/``end``/``instant``/``counter``/``comm``) that are all
-no-ops on the :data:`NULL_TRACER`, so an untraced run pays one attribute
-load and a predicted branch per hook site.
+methods (``begin``/``end``/``instant``/``counter``/``comm``).  Every hook
+site guards with ``if sim.tracer.enabled:``; an untraced simulator holds
+the engine's shared off-sink there, so an untraced run pays one
+attribute load and a predicted branch per hook site.
 
 Determinism contract: a tracer's contents are a pure function of the
 simulation (seed, plan, configuration).  Nothing here reads wall clocks,
@@ -26,8 +27,6 @@ __all__ = [
     "Instant",
     "Sample",
     "Tracer",
-    "NullTracer",
-    "NULL_TRACER",
     "thread_track",
     "link_track",
     "node_track",
@@ -36,7 +35,7 @@ __all__ = [
 
 TrackKey = Tuple[str, Any]
 
-#: Track for engine-level events (spawns, kills, quiescence).
+#: Track for engine-level events (kills, failures, quiescence).
 META_TRACK: TrackKey = ("meta", "sim")
 
 
@@ -107,63 +106,7 @@ class Sample:
         self.seq = seq
 
 
-class NullTracer:
-    """The disabled tracer: every hook is a no-op.
-
-    Hook sites guard with ``if tracer.enabled:`` so the untraced hot path
-    costs one attribute load; the methods still exist so un-guarded call
-    sites stay correct.
-    """
-
-    enabled = False
-
-    def declare_track(self, track: TrackKey, name: Optional[str] = None) -> None:
-        pass
-
-    def begin(self, track: TrackKey, name: str, category: str = names.CAT_OTHER,
-              args: Optional[dict] = None) -> int:
-        return -1
-
-    def end(self, span_id: int, args: Optional[dict] = None) -> None:
-        pass
-
-    def instant(self, track: TrackKey, name: str, category: str = names.CAT_OTHER,
-                args: Optional[dict] = None) -> None:
-        pass
-
-    def counter(self, track: TrackKey, name: str, value: float) -> None:
-        pass
-
-    def comm(self, src_node: int, dst_node: int, nbytes: float) -> None:
-        pass
-
-    # engine hook points (see Simulator / Process)
-    def process_spawned(self, process) -> None:
-        pass
-
-    def process_blocked(self, process, awaited) -> None:
-        pass
-
-    def process_resumed(self, process) -> None:
-        pass
-
-    def process_killed(self, process) -> None:
-        pass
-
-    def process_failed(self, process, exc) -> None:
-        pass
-
-    def quiescence(self, processes) -> None:
-        pass
-
-    def finalize(self, t_end: float) -> None:
-        pass
-
-
-NULL_TRACER = NullTracer()
-
-
-class Tracer(NullTracer):
+class Tracer:
     """Records spans, instants and counter samples in simulated time."""
 
     enabled = True
@@ -179,10 +122,6 @@ class Tracer(NullTracer):
         self.samples: List[Sample] = []
         #: (src_node, dst_node) -> [messages, bytes]
         self._comm: Dict[Tuple[int, int], List[float]] = {}
-        #: engine hook tallies (cheap; not exported as events)
-        self.hook_counts: Dict[str, int] = {
-            "spawned": 0, "blocked": 0, "resumed": 0, "killed": 0,
-        }
         #: engine self-measurement (events popped, heap peak, context
         #: switches, costed cycles), copied off the simulator at
         #: :meth:`finalize` so it survives detaching ``sim`` for pickling.
@@ -257,17 +196,7 @@ class Tracer(NullTracer):
 
     # -- engine hook points ----------------------------------------------
 
-    def process_spawned(self, process) -> None:
-        self.hook_counts["spawned"] += 1
-
-    def process_blocked(self, process, awaited) -> None:
-        self.hook_counts["blocked"] += 1
-
-    def process_resumed(self, process) -> None:
-        self.hook_counts["resumed"] += 1
-
     def process_killed(self, process) -> None:
-        self.hook_counts["killed"] += 1
         self.instant(META_TRACK, f"kill {process.name}", names.CAT_FAULT)
 
     def process_failed(self, process, exc) -> None:

@@ -27,10 +27,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, Iterable, Optional
 
-from repro.analyze.sanitizer import NULL_SANITIZER
 from repro.obs import names as _metric_names
-from repro.obs.profile.cost import NULL_PROFILER
-from repro.obs.tracer import NULL_TRACER
 
 __all__ = [
     "Awaitable",
@@ -43,6 +40,7 @@ __all__ = [
     "SimulationError",
     "ProcessFailure",
     "StalledProcessError",
+    "OFF",
 ]
 
 
@@ -204,8 +202,6 @@ class Process(Awaitable):
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Awaitable] = None
         sim._register_process(self)
-        if sim.tracer.enabled:
-            sim.tracer.process_spawned(self)
         sim.schedule_after(0.0, self._step, None, None)
 
     @property
@@ -253,15 +249,11 @@ class Process(Awaitable):
                 "Awaitable or a number of seconds"
             )
         self._waiting_on = target
-        if self.sim.tracer.enabled:
-            self.sim.tracer.process_blocked(self, target)
         target.add_callback(self._resume)
 
     def _resume(self, awaited: Awaitable) -> None:
         if self._done or self._cancelled:
             return
-        if self.sim.tracer.enabled:
-            self.sim.tracer.process_resumed(self)
         if awaited.exc is not None:
             if isinstance(awaited, Process):
                 exc: BaseException = ProcessFailure(awaited, awaited.exc)
@@ -344,6 +336,25 @@ class AnyOf(Awaitable):
             self._complete(value=(self.children.index(child), child.value))
 
 
+class _Off:
+    """The sink of instrumentation that is off: it only says so.
+
+    Every hook site guards with ``if sim.tracer.enabled:`` (likewise
+    ``sanitizer`` and ``profiler``), so an uninstrumented run pays one
+    attribute load per site.  An unguarded hook call raises
+    ``AttributeError``.
+    """
+
+    __slots__ = ()
+    enabled = False
+
+
+#: The one off-sink every :class:`Simulator` starts with for its
+#: tracer, sanitizer and profiler; :func:`repro.obs.session.arm` replaces
+#: the ones a session turns on.
+OFF = _Off()
+
+
 class Simulator:
     """The event loop: a clock plus a heap of pending callbacks."""
 
@@ -356,16 +367,11 @@ class Simulator:
         self._processes: list[Process] = []
         #: Set to a callable to be notified of unhandled process failures.
         self.failure_hook: Optional[Callable[[Process, BaseException], None]] = None
-        #: Observability sink; defaults to the shared no-op tracer so hook
-        #: sites can stay unconditional (`if self.tracer.enabled:` guards
-        #: the hot paths).
-        self.tracer = NULL_TRACER
-        #: Correctness sink (repro.analyze); same NULL-object discipline —
-        #: `if self.sanitizer.enabled:` keeps unsanitized runs at full speed.
-        self.sanitizer = NULL_SANITIZER
-        #: Cost profiler (repro.obs.profile); third consumer of the same
-        #: NULL-object discipline — unprofiled runs pay one guarded branch.
-        self.profiler = NULL_PROFILER
+        #: Instrumentation sinks: the tracer (repro.obs), the sanitizer
+        #: (repro.analyze) and the cost profiler (repro.obs.profile).  All
+        #: start as the shared :data:`OFF`; ``repro.obs.session.arm`` sets
+        #: the ones an ``instrument()`` session turns on.
+        self.tracer = self.sanitizer = self.profiler = OFF
         #: Engine self-measurement, tallied only while a tracer is armed
         #: (the untraced hot path keeps its single-branch guard) and
         #: published as counter samples by ``Tracer.finalize``.
@@ -381,20 +387,20 @@ class Simulator:
                 f"cannot schedule at {time} before now={self.now}"
             )
         heapq.heappush(self._heap, (time, priority, next(self._seq), fn, args))
-        if self.tracer.enabled:
-            metrics = self.engine_metrics
-            if len(self._heap) > metrics[_metric_names.ENGINE_HEAP_PEAK]:
-                metrics[_metric_names.ENGINE_HEAP_PEAK] = len(self._heap)
-            if time > self.now:
-                # Every event at a *future* instant is one charged
-                # simulated cost — delays, resource transfers, network
-                # latencies; same-instant wakeups are scheduling
-                # artifacts and stay free.
-                metrics[_metric_names.ENGINE_COSTED_CYCLES] += 1
-        if self.profiler.enabled:
-            # Same costed/free split as the tracer's tally above, but
-            # attributed to the scheduling site rather than summed.
-            self.profiler.event_scheduled(fn, time > self.now)
+        if self.tracer.enabled or self.profiler.enabled:
+            # Every event at a *future* instant is one charged simulated
+            # cost — delays, resource transfers, network latencies;
+            # same-instant wakeups are scheduling artifacts and stay free.
+            costed = time > self.now
+            if self.tracer.enabled:
+                metrics = self.engine_metrics
+                if len(self._heap) > metrics[_metric_names.ENGINE_HEAP_PEAK]:
+                    metrics[_metric_names.ENGINE_HEAP_PEAK] = len(self._heap)
+                if costed:
+                    metrics[_metric_names.ENGINE_COSTED_CYCLES] += 1
+            if self.profiler.enabled:
+                # The same split, attributed to the scheduling site.
+                self.profiler.event_scheduled(fn, costed)
 
     def schedule_after(
         self, dt: float, fn: Callable, *args: Any, priority: int = 0

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
 
-from repro.analyze.sanitizer import sanitizer_for
 from repro.errors import UpcError
 from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation, extended
 from repro.gasnet.extended import Handle
@@ -31,8 +30,7 @@ from repro.machine.presets import PlatformPreset, generic_smp
 from repro.machine.topology import MachineTopology
 from repro.network.conduits import conduit as lookup_conduit
 from repro.obs import names
-from repro.obs.profile.session import profiler_for
-from repro.obs.session import tracer_for
+from repro.obs.session import arm
 from repro.obs.tracer import thread_track
 from repro.sim import Event, SimBarrier, Simulator, SplittableRNG, StatsCollector
 
@@ -97,7 +95,7 @@ class ProgramResult:
     returns: List[Any]             #: per-thread return values
     stats: StatsCollector
     sim: Simulator
-    #: sanitizer findings (empty unless run under a sanitize_session)
+    #: sanitizer findings (empty unless run under a sanitizing session)
     findings: List[Any] = field(default_factory=list)
 
     def timer_max(self, name: str) -> float:
@@ -172,22 +170,13 @@ class UpcProgram:
         self.seed = seed
 
         self.sim = Simulator()
-        # Attach the tracer before any stack layer is built so fabric and
-        # runtime construction can declare their tracks (no-op when no
-        # trace session is active).
-        self.sim.tracer = tracer_for(
-            self.sim, label=f"upc {self.backend.label} x{threads}"
-        )
-        if self.sim.tracer.enabled:
-            for t in range(threads):
-                self.sim.tracer.declare_track(thread_track(t))
         self.topo: MachineTopology = self.preset.topology()
         self.stats = StatsCollector(self.sim)
-        # Arm the sanitizer (no-op outside a sanitize_session); like the
-        # tracer it lives on the simulator so every layer reaches it.
-        self.sim.sanitizer = sanitizer_for(self)
-        # Arm the cost profiler (no-op outside a profile_session).
-        self.sim.profiler = profiler_for(self.sim)
+        # Arm the instrumentation sinks (a no-op outside an instrument()
+        # session) before any stack layer is built, so fabric and
+        # runtime construction can declare their tracks.
+        arm(self.sim, f"upc {self.backend.label} x{threads}", threads,
+            program=self)
         self.mem = MemorySystem(self.sim, self.topo, self.preset.memory)
 
         if threads_per_node is None:
@@ -436,7 +425,7 @@ class UpcProgram:
             returns=[p.result for p in procs],
             stats=self.stats,
             sim=self.sim,
-            findings=list(sanitizer.findings),
+            findings=list(sanitizer.findings) if sanitizer.enabled else [],
         )
 
     def context(self, thread: int) -> "Upc":

@@ -9,16 +9,16 @@ Two guarantees the sanitizer ships with:
   snapshots, timings and results are byte-identical with and without it.
 """
 
-from repro.analyze import sanitize_session
 from repro.apps.ft import run_ft
 from repro.apps.randomaccess import GupsConfig, run_gups
 from repro.apps.uts import run_uts, small_tree
+from repro.obs.session import instrument
 from tests.upc.conftest import make_program
 
 
 class TestAppsSanitizeClean:
     def test_uts_clean(self):
-        with sanitize_session("uts") as session:
+        with instrument("uts", sanitize=True) as session:
             r = run_uts("local+diffusion", tree=small_tree("tiny"),
                         threads=4, threads_per_node=2)
         assert r["tree_nodes"] > 0
@@ -28,14 +28,14 @@ class TestAppsSanitizeClean:
     def test_gups_clean(self):
         cfg = GupsConfig(variant="bucketed", table_words=1 << 12,
                          updates_per_thread=256)
-        with sanitize_session("gups") as session:
+        with instrument("gups", sanitize=True) as session:
             r = run_gups(config=cfg, threads=4, threads_per_node=2)
         assert r["verified"]
         assert session.sanitizers
         assert session.findings == []
 
     def test_ft_clean(self):
-        with sanitize_session("ft") as session:
+        with instrument("ft", sanitize=True) as session:
             r = run_ft("T", model="upc", variant="split",
                        threads=4, threads_per_node=2, iterations=2)
         assert r["verified"]
@@ -59,7 +59,7 @@ class TestNoPerturbation:
 
     def _run(self, sanitized):
         if sanitized:
-            with sanitize_session("identity"):
+            with instrument("identity", sanitize=True):
                 prog = make_program(threads=4)
                 res = prog.run(self._main)
         else:

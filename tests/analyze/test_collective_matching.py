@@ -8,8 +8,8 @@ deadlock/raise to the user.
 
 import pytest
 
-from repro.analyze import sanitize_session
 from repro.errors import UpcError
+from repro.obs.session import instrument
 from tests.upc.conftest import make_program
 
 
@@ -25,7 +25,7 @@ class TestBarrierMatching:
             else:
                 yield from upc.compute(0.0)
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             with pytest.raises(UpcError, match="deadlock"):
                 prog.run(main)
@@ -39,7 +39,7 @@ class TestBarrierMatching:
         # Count mismatches without a stuck generation can't happen
         # through the real barrier (the short thread would block), so
         # drive the checker directly at the unit level.
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             san = prog.sim.sanitizer
             key = ("team", "world")
@@ -59,7 +59,7 @@ class TestBarrierMatching:
             for _ in range(3):
                 yield from upc.barrier()
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=4)
             prog.run(main)
         assert session.findings == []
@@ -72,7 +72,7 @@ class TestSplitPhaseMisuse:
             # every thread notifies, so nothing deadlocks — the phase is
             # simply never closed with upc_wait
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             prog.run(main)
         findings = coll_findings(session)
@@ -87,7 +87,7 @@ class TestSplitPhaseMisuse:
             else:
                 yield from upc.compute(0.0)
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             with pytest.raises(UpcError, match="deadlock"):
                 prog.run(main)
@@ -100,7 +100,7 @@ class TestSplitPhaseMisuse:
         def main(upc):
             yield from upc.barrier_wait()  # no notify first: UPC error
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             with pytest.raises(Exception, match="upc_wait without upc_notify"):
                 prog.run(main)
@@ -118,7 +118,7 @@ class TestCollectiveGate:
                 gate.submit("x", 0, None, lambda p: None)
             yield from upc.compute(0.0)
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             with pytest.raises(Exception, match="submitted twice"):
                 prog.run(main)
@@ -135,7 +135,7 @@ class TestCollectiveGate:
             yield from upc.barrier()
             return (arr.nelems, total)
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=4)
             res = prog.run(main)
         assert res.returns == [(8, 6)] * 4

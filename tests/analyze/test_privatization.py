@@ -8,7 +8,7 @@ case that must stay silent.
 
 import pytest
 
-from repro.analyze import sanitize_session
+from repro.obs.session import instrument
 from repro.upc.pointers import LocalPointer, SharedPointer
 from tests.upc.conftest import make_program
 
@@ -27,7 +27,7 @@ class TestAffinityCrossing:
                 lp = SharedPointer(arr, 0).privatize(upc)
                 yield from (lp + 4).get(upc)
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2, nodes=1, threads_per_node=2)
             prog.run(main)
         findings = priv_findings(session)
@@ -45,7 +45,7 @@ class TestAffinityCrossing:
                 yield from (lp + i).get(upc)
             yield from upc.barrier()
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2, nodes=1, threads_per_node=2)
             prog.run(main)
         assert session.findings == []
@@ -63,7 +63,7 @@ class TestSupernodeEscape:
                 lp = LocalPointer(arr, 3, holder=0)  # owner: thread 1, other node
                 yield from lp.get(upc)
 
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2, nodes=2, threads_per_node=1)
             prog.run(main)
         findings = priv_findings(session)
@@ -93,7 +93,7 @@ class TestStalePointers:
             prog.run(self._main)
 
     def test_sanitizer_reports_stale_owner(self):
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(
                 threads=4, nodes=2, threads_per_node=2, faults=self.CRASH
             )

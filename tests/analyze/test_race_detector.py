@@ -9,12 +9,13 @@ exist.
 
 import numpy as np
 
-from repro.analyze import NULL_SANITIZER, sanitize_session
+from repro.obs.session import instrument
+from repro.sim.engine import OFF
 from tests.upc.conftest import make_program
 
 
 def run_sanitized(main, threads=2, **kwargs):
-    with sanitize_session("test") as session:
+    with instrument("test", sanitize=True) as session:
         prog = make_program(threads=threads, **kwargs)
         res = prog.run(main)
     return res, session
@@ -164,9 +165,12 @@ class TestArming:
             yield from upc.barrier()
 
         prog = make_program(threads=2)
-        assert prog.sim.sanitizer is NULL_SANITIZER
+        assert prog.sim.sanitizer is OFF
         res = prog.run(main)
         assert res.findings == []
+        # a session that does not ask for the sanitizer leaves it off too
+        with instrument("test", trace=True):
+            assert make_program(threads=2).sim.sanitizer is OFF
 
     def test_finding_renders_with_context(self):
         def main(upc):

@@ -8,11 +8,11 @@ runtime deadlock (static and dynamic analyzers agree).
 
 import pytest
 
-from repro.analyze import sanitize_session
 from repro.analyze.static import analyze_source
 from repro.analyze.static.baseline import compare, load_baseline
 from repro.analyze.static.report import build_report, to_json
 from repro.errors import UpcError
+from repro.obs.session import instrument
 from tests.upc.conftest import make_program
 
 
@@ -55,7 +55,7 @@ class TestAlignment:
         # the dynamic collective checker explains it the same way
         ns = {}
         exec(compile(MISALIGNED_BARRIER, "fix.py", "exec"), ns)
-        with sanitize_session("test") as session:
+        with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
             with pytest.raises(UpcError, match="deadlock"):
                 prog.run(ns["main"])

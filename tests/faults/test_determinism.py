@@ -96,9 +96,9 @@ class TestTraceDeterminism:
 
     def _trace_once(self, faults):
         from repro.obs.export import dump_chrome_trace
-        from repro.obs.session import trace_session
+        from repro.obs.session import instrument
 
-        with trace_session("det") as sess:
+        with instrument("det", trace=True) as sess:
             prog = make_program(
                 threads=4, nodes=2, threads_per_node=2, faults=faults
             )
@@ -110,9 +110,9 @@ class TestTraceDeterminism:
 
     def test_tracing_does_not_perturb_stats(self):
         # Attaching a tracer must not change what the simulation does.
-        from repro.obs.session import trace_session
+        from repro.obs.session import instrument
 
-        with trace_session("det"):
+        with instrument("det", trace=True):
             traced = make_program(
                 threads=4, nodes=2, threads_per_node=2, faults=SPEC
             )

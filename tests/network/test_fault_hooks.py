@@ -115,8 +115,23 @@ class TestMessageFates:
         sim.run()
         assert len(caught) == 1
         assert caught[0][0] > 0  # delivery time was paid before the NAK
+        assert str(caught[0][1]) == "message 0->1 (1000 B) failed integrity check"
         assert fab.stats.get_count("faults.messages_corrupted") == 1
         # corruption consumes wire resources like a good message
+        assert fab.endpoint(0).connection.active == 0
+
+    def test_corrupt_fetch_names_the_read(self, sim):
+        plan = FaultPlan(message_rules=(MessageFaultRule("corrupt", 1.0),))
+        fab, _inj = faulty_fabric(sim, plan)
+        caught = []
+        def driver():
+            try:
+                yield from fab.fetch(0, 1, 1000)
+            except MessageCorruptedError as exc:
+                caught.append(str(exc))
+        sim.spawn(driver())
+        sim.run()
+        assert caught == ["read 0<-1 (1000 B) failed integrity check"]
         assert fab.endpoint(0).connection.active == 0
 
     def test_fates_only_consulted_with_injector(self, sim):

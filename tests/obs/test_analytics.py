@@ -25,7 +25,7 @@ from repro.obs.analytics import (
     write_campaign,
 )
 from repro.obs.analytics.__main__ import main as analytics_main
-from repro.obs.session import trace_session
+from repro.obs.session import instrument
 from repro.upc.runtime import UpcProgram
 
 
@@ -36,7 +36,7 @@ def _app(upc):
 
 
 def _tracers(threads=4):
-    with trace_session("test") as sess:
+    with instrument("test", trace=True) as sess:
         UpcProgram(threads=threads).run(_app)
     return list(sess.tracers)
 

@@ -9,7 +9,7 @@ from repro.errors import UpcError
 from repro.obs import names
 from repro.obs.critical_path import attribute_run, breakdown_rows
 from repro.obs.export import dump_chrome_trace
-from repro.obs.session import trace_session
+from repro.obs.session import instrument
 from repro.obs.validate import validate_document
 from repro.sim import Simulator, StatsCollector
 from repro.upc.runtime import UpcProgram
@@ -28,7 +28,7 @@ def _app(upc):
 
 
 def _traced_run(threads=4):
-    with trace_session("test") as sess:
+    with instrument("test", trace=True) as sess:
         UpcProgram(threads=threads).run(_app)
     (tracer,) = sess.tracers
     return tracer

@@ -15,7 +15,6 @@ from repro.obs.analytics import canonical_dumps
 from repro.obs.profile import (
     KNOWN_SITES,
     NO_PHASE,
-    NULL_PROFILER,
     PROFILE_SCHEMA,
     SITE_OTHER,
     CostProfiler,
@@ -23,16 +22,14 @@ from repro.obs.profile import (
     folded_lines,
     host_document,
     merge_snapshots,
-    profile_session,
-    profiler_for,
     site_for_callable,
     site_for_code,
     validate_profile,
     write_profiles,
 )
 from repro.obs.profile.__main__ import main as profile_main
-from repro.obs.profile.session import active_profile_session
-from repro.sim.engine import Simulator
+from repro.obs.session import arm, instrument
+from repro.sim.engine import OFF, Simulator
 from repro.upc.runtime import UpcProgram
 
 
@@ -45,7 +42,7 @@ def _app(upc):
 
 
 def _run_profiled(threads=4):
-    with profile_session("test") as session:
+    with instrument("test", profile=True) as session:
         UpcProgram(threads=threads).run(_app)
         return session.snapshot()
 
@@ -111,13 +108,6 @@ class TestCostProfiler:
         prof.context_switch(FakeProcess())
         assert prof.tallies[(NO_PHASE, SITE_OTHER)] == [0, 0, 1]
 
-    def test_null_profiler_is_inert(self):
-        assert not NULL_PROFILER.enabled
-        NULL_PROFILER.event_scheduled(None, True)
-        NULL_PROFILER.context_switch(None)
-        NULL_PROFILER.phase_started("x")
-        NULL_PROFILER.phase_ended("x")
-
 
 class TestEndToEndDeterminism:
     def test_cost_snapshot_byte_identical_across_runs(self):
@@ -151,27 +141,30 @@ class TestEndToEndDeterminism:
 
 
 class TestSession:
-    def test_profiler_for_null_outside_session(self):
-        assert active_profile_session() is None
-        assert profiler_for(Simulator()) is NULL_PROFILER
+    def test_profiler_off_outside_session(self):
+        sim = Simulator()
+        arm(sim, "x", 2)
+        assert sim.profiler is OFF
 
-    def test_profiler_for_shared_inside_session(self):
-        with profile_session("s") as session:
-            assert active_profile_session() is session
-            assert profiler_for(Simulator()) is session.cost
-        assert active_profile_session() is None
+    def test_profiler_shared_inside_session(self):
+        with instrument("s", profile=True) as session:
+            a, b = Simulator(), Simulator()
+            arm(a, "a", 2)
+            arm(b, "b", 2)
+            assert a.profiler is b.profiler is session.cost
+            assert a.tracer is OFF
 
     def test_sessions_do_not_nest(self):
-        with profile_session("outer"):
+        with instrument("outer", profile=True):
             with pytest.raises(RuntimeError, match="already active"):
-                with profile_session("inner"):
+                with instrument("inner", profile=True):
                     pass
 
     def test_constructed_program_attaches_session_profiler(self):
-        with profile_session("s") as session:
+        with instrument("s", profile=True) as session:
             program = UpcProgram(threads=2)
             assert program.sim.profiler is session.cost
-        assert UpcProgram(threads=2).sim.profiler is NULL_PROFILER
+        assert UpcProgram(threads=2).sim.profiler is OFF
 
 
 class TestReport:

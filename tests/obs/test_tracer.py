@@ -3,37 +3,8 @@
 import pytest
 
 from repro.obs import names
-from repro.obs.tracer import (
-    META_TRACK,
-    NULL_TRACER,
-    NullTracer,
-    Tracer,
-    link_track,
-    thread_track,
-)
+from repro.obs.tracer import Tracer, link_track, thread_track
 from repro.sim import Simulator
-
-
-class TestNullTracer:
-    def test_disabled(self):
-        assert NULL_TRACER.enabled is False
-        assert isinstance(NULL_TRACER, NullTracer)
-
-    def test_all_hooks_are_noops(self):
-        n = NullTracer()
-        assert n.begin(thread_track(0), "x") == -1
-        n.end(-1)
-        n.instant(META_TRACK, "i")
-        n.counter(link_track("l"), "c", 1.0)
-        n.comm(0, 1, 8.0)
-        n.declare_track(thread_track(0))
-        n.process_spawned(None)
-        n.process_blocked(None, None)
-        n.process_resumed(None)
-        n.process_killed(None)
-        n.process_failed(None, ValueError())
-        n.quiescence([])
-        n.finalize(1.0)
 
 
 class TestTracer:
@@ -105,24 +76,6 @@ class TestTracer:
             {"src_node": 1, "dst_node": 0, "messages": 1, "bytes": 10.0},
         ]
 
-    def test_engine_hooks_fire(self):
-        sim = Simulator()
-        tr = Tracer(sim, label="t")
-        sim.tracer = tr
-
-        def child():
-            yield sim.delay(1.0)
-
-        def parent():
-            p = sim.spawn(child())
-            yield p
-
-        sim.spawn(parent())
-        sim.run()
-        assert tr.hook_counts["spawned"] == 2
-        assert tr.hook_counts["blocked"] >= 1
-        assert tr.hook_counts["resumed"] >= 1
-
     def test_kill_emits_fault_instant(self):
         sim = Simulator()
         tr = Tracer(sim, label="t")
@@ -134,7 +87,6 @@ class TestTracer:
         p = sim.spawn(forever(), name="victim")
         sim.schedule_at(1.0, p.kill)
         sim.run()
-        assert tr.hook_counts["killed"] == 1
         kills = [i for i in tr.instants if i.name == "kill victim"]
         assert len(kills) == 1
         assert kills[0].category == names.CAT_FAULT

@@ -8,7 +8,7 @@ samples on the meta track.
 """
 
 from repro.obs import names
-from repro.obs.session import trace_session
+from repro.obs.session import instrument
 from repro.obs.tracer import META_TRACK
 from repro.sim import Simulator
 from repro.upc.runtime import UpcProgram
@@ -20,7 +20,7 @@ def _app(upc):
 
 
 def _traced_run():
-    with trace_session("metrics") as sess:
+    with instrument("metrics", trace=True) as sess:
         UpcProgram(threads=4).run(_app)
     (tracer,) = sess.tracers
     return tracer
