@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.apps.uts.stealstack import NODE_BYTES, StealStack
-from repro.apps.uts.tree import TreeParams, count_tree, expand, root_node
+from repro.apps.uts.tree import TreeParams, count_tree, expander, root_node
 from repro.errors import EndpointFailedError
 from repro.machine.presets import PlatformPreset, pyramid
 from repro.obs import names
@@ -93,6 +93,7 @@ def _worker(upc, cfg: UtsConfig, params: TreeParams,
     ss = stacks[me]
     group = yield from shared_memory_group(upc)
     local_set = set(group.members)
+    expand_node = expander(params)
     if me == 0:
         ss.push([root_node(params)])
     yield from upc.barrier()
@@ -104,7 +105,7 @@ def _worker(upc, cfg: UtsConfig, params: TreeParams,
             chunk = ss.pop_chunk(cfg.process_chunk)
             children: list = []
             for node in chunk:
-                children.extend(expand(params, node))
+                children.extend(expand_node(node))
             ss.push(children)
             ss.nodes_processed += len(chunk)
             yield from upc.compute(len(chunk) * cfg.node_work)

@@ -1,7 +1,11 @@
 """UTS tree definition: implicit random trees over a splittable RNG.
 
-A tree node is ``(rng, depth)``; its child count is a deterministic
-function of the node's RNG draw, and child *i*'s RNG is ``rng.child(i)``.
+A tree node is ``(state, depth)``, where ``state`` is raw splittable-RNG
+state: the 20-byte SHA-1 digest, or a 64-bit int for ``algorithm="mix"``
+(see :mod:`repro.sim.rng`).  A node's child count is a deterministic
+function of one draw from its dedicated ``child(state, -1)`` stream, and
+child *i*'s state is ``child(state, i)``.  Nodes hold no RNG object;
+:func:`expander` looks the algorithm's primitives up once per tree.
 Two standard shapes:
 
 * **binomial** — the root has ``b0`` children; every other node has ``m``
@@ -12,19 +16,20 @@ Two standard shapes:
   cut off at ``max_depth``.
 
 The reference UTS uses SHA-1 for splitting; ``algorithm="mix"`` swaps in
-splitmix64 for speed at identical shape statistics (see
-:mod:`repro.sim.rng`).
+splitmix64 for speed at identical shape statistics.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple, Union
 
-from repro.sim.rng import SplittableRNG
+from repro.sim.rng import get_algorithm
 
-__all__ = ["TreeParams", "Node", "root_node", "expand", "count_tree",
-           "paper_tree", "small_tree"]
+__all__ = ["TreeParams", "Node", "root_node", "expander", "expand",
+           "count_tree", "paper_tree", "small_tree"]
 
 
 @dataclass(frozen=True)
@@ -48,47 +53,68 @@ class TreeParams:
             raise ValueError("b0 and m must be non-negative")
 
 
-#: A tree node: (rng, depth).
-Node = Tuple[SplittableRNG, int]
+#: A tree node: (raw RNG state, depth).
+Node = Tuple[Union[bytes, int], int]
+
+#: ``u64 >> 11`` times this is a uniform float in [0, 1), as in
+#: :meth:`~repro.sim.rng.SplittableRNG.random`.
+_UNIT = 1.0 / (1 << 53)
 
 
 def root_node(params: TreeParams) -> Node:
-    return (SplittableRNG(seed=params.seed, algorithm=params.algorithm), 0)
+    return (get_algorithm(params.algorithm).root(params.seed), 0)
 
 
-def _num_children(params: TreeParams, rng: SplittableRNG, depth: int) -> int:
+def _branching(params: TreeParams) -> Callable[[float, int], int]:
+    """``(u, depth) -> child count`` for the tree's shape, ``u`` in [0, 1)."""
     if params.kind == "binomial":
-        if depth == 0:
-            return params.b0
-        return params.m if rng.random() < params.q else 0
+        b0, q, m = params.b0, params.q, params.m
+        return lambda u, depth: b0 if depth == 0 else (m if u < q else 0)
     # geometric: branching drawn so the mean is b0 at the root, decaying
     # with depth; standard UTS "fixed" geometric uses a depth cutoff.
-    if depth >= params.max_depth:
-        return 0
-    u = rng.random()
-    # geometric with success prob p = 1/(1+b0): mean b0
-    import math
+    b0, max_depth = params.b0, params.max_depth
 
-    p = 1.0 / (1.0 + params.b0)
-    k = int(math.log(max(u, 1e-300)) / math.log(1.0 - p))
-    return min(k, params.b0 * 4)
+    def geometric(u: float, depth: int) -> int:
+        if depth >= max_depth:
+            return 0
+        # geometric with success prob p = 1/(1+b0): mean b0
+        p = 1.0 / (1.0 + b0)
+        k = int(math.log(max(u, 1e-300)) / math.log(1.0 - p))
+        return min(k, b0 * 4)
+    return geometric
+
+
+def expander(params: TreeParams) -> Callable[[Node], List[Node]]:
+    """:func:`expand` for one tree, with its primitives looked up once."""
+    alg = get_algorithm(params.algorithm)
+    child, draw = alg.child, alg.next
+    branching = _branching(params)
+
+    def expand_node(node: Node) -> List[Node]:
+        state, depth = node
+        # Child-count draw uses a dedicated child stream so that expanding a
+        # node never perturbs the states handed to its children.
+        n = branching((draw(child(state, -1))[1] >> 11) * _UNIT, depth)
+        depth += 1
+        return [(child(state, i), depth) for i in range(n)]
+    return expand_node
 
 
 def expand(params: TreeParams, node: Node) -> List[Node]:
     """Children of ``node`` (deterministic)."""
-    rng, depth = node
-    # Child-count draw uses a dedicated child stream so that expanding a
-    # node never perturbs the RNG states handed to its children.
-    n = _num_children(params, rng.child(-1), depth)
-    return [(rng.child(i), depth + 1) for i in range(n)]
+    return expander(params)(node)
 
 
+@functools.lru_cache(maxsize=16)
 def count_tree(params: TreeParams, limit: Optional[int] = None) -> Tuple[int, int]:
     """Sequential traversal: returns ``(total_nodes, max_depth)``.
 
     ``limit`` aborts counting beyond that many nodes (guards against
-    parameter choices with runaway supercritical growth).
+    parameter choices with runaway supercritical growth).  The result is
+    a pure function of the arguments, so it is memoized: each tree is
+    walked once per process (an abort raises and is not cached).
     """
+    expand_node = expander(params)
     stack = [root_node(params)]
     count = 0
     max_depth = 0
@@ -98,7 +124,7 @@ def count_tree(params: TreeParams, limit: Optional[int] = None) -> Tuple[int, in
         max_depth = max(max_depth, node[1])
         if limit is not None and count > limit:
             raise RuntimeError(f"tree exceeds limit of {limit} nodes")
-        stack.extend(expand(params, node))
+        stack.extend(expand_node(node))
     return count, max_depth
 
 

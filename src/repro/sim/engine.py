@@ -240,6 +240,10 @@ class Process(Awaitable):
             self.sim._record_failure(self, exc)
             self._complete(exc=exc)
 
+    def _complete(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        self.sim._live.pop(self, None)
+        super()._complete(value, exc)
+
     def _wait_for(self, target: Any) -> None:
         if isinstance(target, (int, float)):
             target = Delay(self.sim, float(target))
@@ -364,7 +368,10 @@ class Simulator:
         self._seq = itertools.count()
         self._running = False
         self.failures: list[tuple[Process, BaseException]] = []
-        self._processes: list[Process] = []
+        #: Unfinished processes in spawn order (a dict used as an ordered
+        #: set); a process leaves on completion, so a finished one is
+        #: freed as soon as nothing else holds it.
+        self._live: dict[Process, None] = {}
         #: Set to a callable to be notified of unhandled process failures.
         self.failure_hook: Optional[Callable[[Process, BaseException], None]] = None
         #: Instrumentation sinks: the tracer (repro.obs), the sanitizer
@@ -481,7 +488,7 @@ class Simulator:
             self.failure_hook(process, exc)
 
     def _register_process(self, process: Process) -> None:
-        self._processes.append(process)
+        self._live[process] = None
 
     def forgive_failure(self, process: Process) -> None:
         """Drop recorded failures of ``process``: a supervisor handled them.
@@ -501,7 +508,7 @@ class Simulator:
         an injected fault or by a kill).  With events still pending the
         result is merely "not finished yet", not a diagnosis.
         """
-        return [p for p in self._processes if not p.done and not p.cancelled]
+        return [p for p in self._live if not p.cancelled]
 
     def raise_failures(self, check_stalled: bool = False) -> None:
         """Re-raise the first unhandled process failure, if any.

@@ -1,6 +1,9 @@
 """Satellite tests: stalled-process detection, post-cancel Event rules,
 and barrier fail-stop recovery."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.sim import Event, SimBarrier, Simulator, StalledProcessError
@@ -98,6 +101,43 @@ class TestStalledProcesses:
         sim.run()
         proc.kill()
         assert sim.stalled_processes() == []
+
+    def test_stalled_keeps_spawn_order(self, sim):
+        never = Event(sim)
+
+        def waiter():
+            yield never
+
+        def done():
+            yield sim.delay(1e-6)
+
+        a = sim.spawn(waiter(), name="a")
+        sim.spawn(done())
+        b = sim.spawn(waiter(), name="b")
+        sim.run()
+        assert sim.stalled_processes() == [a, b]
+
+    def test_finished_process_is_not_retained(self, sim):
+        """Nothing but its joiners keeps a finished process (and what it
+        returned) alive, so long runs do not accumulate them."""
+        class Result:
+            pass
+
+        refs = []
+
+        def work():
+            yield sim.delay(1e-6)
+            result = Result()
+            refs.append(weakref.ref(result))
+            return result
+
+        sim.spawn(work())
+        gc.disable()
+        try:
+            sim.run()
+            assert refs and refs[0]() is None
+        finally:
+            gc.enable()
 
     def test_unhandled_failure_reported_before_stall(self, sim):
         def boom():

@@ -79,12 +79,43 @@ class TestSplittableRNG:
         with pytest.raises(ValueError):
             rng.choice([])
 
+    @pytest.mark.parametrize("seed", [0, 1, 9, 12345])
+    def test_shuffle_is_textbook_fisher_yates(self, algorithm, seed):
+        """The one-loop shuffle consumes the stream exactly like
+        ``j = randint(0, i)`` for i = n-1 .. 1."""
+        for n in range(65):
+            fast = SplittableRNG(seed=seed, algorithm=algorithm).child(n)
+            slow = SplittableRNG(seed=seed, algorithm=algorithm).child(n)
+            got, want = list(range(n)), list(range(n))
+            fast.shuffle(got)
+            for i in range(n - 1, 0, -1):
+                j = slow.randint(0, i)
+                want[i], want[j] = want[j], want[i]
+            assert got == want
+            assert fast.random() == slow.random()
+
     def test_shuffle_is_permutation(self, algorithm):
         rng = SplittableRNG(seed=9, algorithm=algorithm)
         seq = list(range(50))
         rng.shuffle(seq)
         assert sorted(seq) == list(range(50))
         assert seq != list(range(50))  # astronomically unlikely to be identity
+
+
+class TestPinnedStreams:
+    """``upc.rng`` (sha1) and the fault injector (mix) draw from these
+    streams, so every report depends on them staying fixed."""
+
+    @pytest.mark.parametrize("algorithm, draws, fingerprint", [
+        ("sha1", [725102960225527184, 16358520450136485097,
+                  12629961580412269661], 14403003479410915566),
+        ("mix", [656855246707814119, 2137878665203156733,
+                 18369749844805651588], 8491148863075443358),
+    ])
+    def test_stream(self, algorithm, draws, fingerprint):
+        rng = SplittableRNG(seed=42, algorithm=algorithm).child(3)
+        assert [rng._next_u64() for _ in draws] == draws
+        assert rng.child(-1).fingerprint() == fingerprint
 
 
 class TestRNGProperties:
