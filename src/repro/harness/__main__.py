@@ -6,7 +6,7 @@ Examples::
     python -m repro.harness t3_1 t4_1
     python -m repro.harness --all --scale quick --out results.md
     python -m repro.harness r1 --faults "crash:node=2,at=5e-5;seed=7"
-    python -m repro.harness run f4_2 --scale quick --trace /tmp/t.json
+    python -m repro.harness f4_2 --scale quick --trace /tmp/t.json
     python -m repro.harness f4_2 --report-breakdown
     python -m repro.harness f3_3 --jobs 4
     python -m repro.harness --all --no-cache

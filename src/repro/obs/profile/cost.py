@@ -81,12 +81,13 @@ class CostProfiler:
     def _scheduling_site(self, fn) -> str:
         """The layer that scheduled an event: first non-plumbing caller.
 
-        Walks outward from ``Simulator.schedule_at``; a Delay created by
+        Walks outward from the engine's push site (``schedule_at``,
+        ``schedule_after`` or a process resume); a Delay created by
         the fabric attributes to the fabric, one created directly by app
         code to the app.  Falls back to the callback's own site when the
         whole (bounded) walk is plumbing — e.g. engine-internal wakeups.
         """
-        frame = sys._getframe(3)  # hook <- schedule_at [<- schedule_after]
+        frame = sys._getframe(3)  # hook <- _tally_push <- push site
         for _ in range(_WALK_LIMIT):
             if frame is None:
                 break

@@ -263,9 +263,15 @@ class Process(Awaitable):
                 exc: BaseException = ProcessFailure(awaited, awaited.exc)
             else:
                 exc = awaited.exc
-            self.sim.schedule_after(0.0, self._step, None, exc)
+            args: tuple = (None, exc)
         else:
-            self.sim.schedule_after(0.0, self._step, awaited.value, None)
+            args = (awaited.value, None)
+        # An inlined ``schedule_after(0.0, ...)``: resumes are the
+        # commonest push.
+        sim = self.sim
+        heapq.heappush(sim._heap, (sim.now, 0, next(sim._seq), self._step, args))
+        if sim.tracer.enabled or sim.profiler.enabled:
+            sim._tally_push(sim.now, self._step)
 
     def kill(self) -> None:
         """Terminate the process without running any more of its code."""
@@ -395,24 +401,38 @@ class Simulator:
             )
         heapq.heappush(self._heap, (time, priority, next(self._seq), fn, args))
         if self.tracer.enabled or self.profiler.enabled:
-            # Every event at a *future* instant is one charged simulated
-            # cost — delays, resource transfers, network latencies;
-            # same-instant wakeups are scheduling artifacts and stay free.
-            costed = time > self.now
-            if self.tracer.enabled:
-                metrics = self.engine_metrics
-                if len(self._heap) > metrics[_metric_names.ENGINE_HEAP_PEAK]:
-                    metrics[_metric_names.ENGINE_HEAP_PEAK] = len(self._heap)
-                if costed:
-                    metrics[_metric_names.ENGINE_COSTED_CYCLES] += 1
-            if self.profiler.enabled:
-                # The same split, attributed to the scheduling site.
-                self.profiler.event_scheduled(fn, costed)
+            self._tally_push(time, fn)
 
     def schedule_after(
         self, dt: float, fn: Callable, *args: Any, priority: int = 0
     ) -> None:
-        self.schedule_at(self.now + dt, fn, *args, priority=priority)
+        time = self.now + dt
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule at {time} before now={self.now}"
+            )
+        heapq.heappush(self._heap, (time, priority, next(self._seq), fn, args))
+        if self.tracer.enabled or self.profiler.enabled:
+            self._tally_push(time, fn)
+
+    def _tally_push(self, time: float, fn: Callable) -> None:
+        """Instrumentation tallies of one heap push at ``time``.
+
+        Every push site calls this only while a tracer or profiler is
+        armed.  Every event at a *future* instant is one charged
+        simulated cost — delays, resource transfers, network latencies;
+        same-instant wakeups are scheduling artifacts and stay free.
+        """
+        costed = time > self.now
+        if self.tracer.enabled:
+            metrics = self.engine_metrics
+            if len(self._heap) > metrics[_metric_names.ENGINE_HEAP_PEAK]:
+                metrics[_metric_names.ENGINE_HEAP_PEAK] = len(self._heap)
+            if costed:
+                metrics[_metric_names.ENGINE_COSTED_CYCLES] += 1
+        if self.profiler.enabled:
+            # The same split, attributed to the scheduling site.
+            self.profiler.event_scheduled(fn, costed)
 
     # -- awaitable factories -----------------------------------------
 

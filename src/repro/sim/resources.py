@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import collections
 import math
+import operator
+from bisect import bisect_right
 from typing import Any, Deque, Optional
 
 from repro.sim.engine import Event, SimulationError, Simulator
@@ -127,13 +129,20 @@ class Store:
 
 
 class _Transfer:
-    __slots__ = ("remaining", "event", "nbytes", "start")
+    """One transfer; processor sharing keeps its remaining bytes in the
+    pipe's sorted ``_rem``."""
 
-    def __init__(self, nbytes: float, event: Event, start: float):
-        self.remaining = float(nbytes)
+    __slots__ = ("event", "nbytes", "arrival")
+
+    def __init__(self, nbytes: float, event: Event, arrival: int):
         self.nbytes = float(nbytes)
         self.event = event
-        self.start = start
+        #: Per-pipe arrival number: transfers that finish on one timer
+        #: complete in arrival order.
+        self.arrival = arrival
+
+
+_arrival = operator.attrgetter("arrival")
 
 
 class SharedBandwidth:
@@ -144,6 +153,16 @@ class SharedBandwidth:
     ``rate / n`` (optionally capped at ``per_stream_rate``), so a transfer's
     finish time depends on what else is in flight — exactly the contention
     behaviour of a shared NIC or memory controller.
+
+    The in-flight remainders live in ``_rem``, a list kept sorted
+    ascending, with ``_active`` holding their transfers in the same
+    order.  Every transfer drains by the same ``drained`` bytes, and IEEE
+    subtraction is monotone (``a <= b`` implies ``fl(a - d) <= fl(b - d)``),
+    so a drain never reorders the list: the next completion is always
+    ``_rem[0]``, bit-for-bit the minimum a full scan would find.  Costs:
+    an arrival is an O(log n) search plus a C memmove; the next
+    completion is O(1); a drain is one list comprehension, run only when
+    simulated time advanced.
 
     Setting ``fifo=True`` degrades the pipe to strict FIFO service, used by
     the D4 ablation in DESIGN.md.
@@ -166,7 +185,13 @@ class SharedBandwidth:
         self.per_stream_rate = per_stream_rate
         self.name = name
         self.fifo = fifo
+        #: Remaining bytes of the in-flight transfers, sorted ascending.
+        self._rem: list[float] = []
+        #: The in-flight transfers, in ``_rem`` order.
         self._active: list[_Transfer] = []
+        #: Largest finish tolerance since the pipe last idled: a transfer
+        #: with more than this left cannot be finished (see ``_on_timer``).
+        self._tol_cap = _EPSILON_BYTES
         self._last_update = sim.now
         self._timer_generation = 0
         # FIFO mode state.
@@ -193,13 +218,17 @@ class SharedBandwidth:
         if nbytes == 0:
             self.sim.schedule_after(0.0, ev.succeed, None)
             return ev
-        tr = _Transfer(nbytes, ev, self.sim.now)
+        tr = _Transfer(nbytes, ev, self.total_transfers)
         if self.fifo:
             self._fifo_queue.append(tr)
             self._fifo_pump()
         else:
             self._advance()
-            self._active.append(tr)
+            i = bisect_right(self._rem, tr.nbytes)
+            self._rem.insert(i, tr.nbytes)
+            self._active.insert(i, tr)
+            if 1e-12 * tr.nbytes > self._tol_cap:
+                self._tol_cap = 1e-12 * tr.nbytes
             self._reschedule()
         return ev
 
@@ -231,16 +260,15 @@ class SharedBandwidth:
         return rate
 
     def _advance(self) -> None:
-        """Drain progress made since ``_last_update`` into each transfer."""
+        """Drain progress made since ``_last_update`` from every transfer."""
         now = self.sim.now
         dt = now - self._last_update
         self._last_update = now
-        if dt <= 0 or not self._active:
+        if dt <= 0 or not self._rem:
             return
         self.busy_time += dt
         drained = self._current_stream_rate() * dt
-        for tr in self._active:
-            tr.remaining -= drained
+        self._rem = [r - drained for r in self._rem]
 
     def _reschedule(self) -> None:
         """Schedule a timer for the next completion among active transfers.
@@ -251,33 +279,39 @@ class SharedBandwidth:
         would re-fire forever at the same instant.
         """
         self._timer_generation += 1
-        if not self._active:
+        if not self._rem:
             return
-        stream_rate = self._current_stream_rate()
-        min_remaining = min(tr.remaining for tr in self._active)
         now = self.sim.now
-        target = now + max(min_remaining, 0.0) / stream_rate
+        target = now + max(self._rem[0], 0.0) / self._current_stream_rate()
         if target <= now:
             target = math.nextafter(now, math.inf)
         self.sim.schedule_at(target, self._on_timer, self._timer_generation)
-
-    @staticmethod
-    def _finished(tr: "_Transfer") -> bool:
-        # Relative tolerance guards against float drift on large transfers.
-        return tr.remaining <= max(_EPSILON_BYTES, 1e-12 * tr.nbytes)
 
     def _on_timer(self, generation: int) -> None:
         if generation != self._timer_generation:
             return  # superseded by a newer arrival/completion
         self._advance()
-        still_active = []
-        for tr in self._active:
-            if self._finished(tr):
+        # A transfer is finished within its own tolerance, whose relative
+        # term guards against float drift on large transfers; only the
+        # prefix within the largest tolerance can hold finished ones.
+        rem, active = self._rem, self._active
+        done = []
+        i = bisect_right(rem, self._tol_cap)
+        while i:
+            i -= 1
+            tr = active[i]
+            if rem[i] <= max(_EPSILON_BYTES, 1e-12 * tr.nbytes):
+                # Removed before any waiter runs, so a synchronous
+                # callback that starts a transfer here sees only live ones.
+                del rem[i], active[i]
+                done.append(tr)
+        if done:
+            if not rem:
+                self._tol_cap = _EPSILON_BYTES
+            done.sort(key=_arrival)
+            for tr in done:
                 if not tr.event.cancelled:
                     tr.event.succeed(tr.nbytes)
-            else:
-                still_active.append(tr)
-        self._active = still_active
         self._reschedule()
 
     # -- FIFO-mode internals --------------------------------------------
@@ -290,7 +324,7 @@ class SharedBandwidth:
         stream_rate = self.rate
         if self.per_stream_rate is not None:
             stream_rate = min(stream_rate, self.per_stream_rate)
-        dt = tr.remaining / stream_rate
+        dt = tr.nbytes / stream_rate
         self.busy_time += dt
         self.sim.schedule_after(dt, self._fifo_done, tr)
 

@@ -1,5 +1,7 @@
 """Property-based invariants across the stack (hypothesis)."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -62,6 +64,168 @@ class TestBandwidthConservation:
         sim.run()
         assert max(ends) - min(ends) <= 1e-9 * max(ends)
         assert max(ends) == pytest.approx(n_streams * nbytes / 1e6, rel=1e-6)
+
+
+class _LinearScanPipe:
+    """Reference processor sharing: a min over every in-flight transfer.
+
+    The algorithm :class:`SharedBandwidth` used before it kept its
+    remainders sorted; the sorted pipe must match it float for float.
+    """
+
+    def __init__(self, sim, rate, per_stream_rate=None):
+        self.sim, self.rate, self.per_stream_rate = sim, rate, per_stream_rate
+        self._active = []  # [remaining, nbytes, event], in arrival order
+        self._last_update = sim.now
+        self._timer_generation = 0
+
+    def _aggregate_rate(self, n):
+        return self.rate
+
+    def _stream_rate(self):
+        n = len(self._active)
+        rate = self._aggregate_rate(n) / n
+        if self.per_stream_rate is not None:
+            rate = min(rate, self.per_stream_rate)
+        return rate
+
+    def transfer(self, nbytes):
+        ev = self.sim.event()
+        self._advance()
+        self._active.append([float(nbytes), float(nbytes), ev])
+        self._reschedule()
+        return ev
+
+    def _advance(self):
+        now, dt = self.sim.now, self.sim.now - self._last_update
+        self._last_update = now
+        if dt <= 0 or not self._active:
+            return
+        drained = self._stream_rate() * dt
+        for tr in self._active:
+            tr[0] -= drained
+
+    def _reschedule(self):
+        self._timer_generation += 1
+        if not self._active:
+            return
+        now = self.sim.now
+        rem = min(tr[0] for tr in self._active)
+        target = now + max(rem, 0.0) / self._stream_rate()
+        if target <= now:
+            target = math.nextafter(now, math.inf)
+        self.sim.schedule_at(target, self._on_timer, self._timer_generation)
+
+    def _on_timer(self, generation):
+        if generation != self._timer_generation:
+            return
+        self._advance()
+        still = []
+        for tr in self._active:
+            if tr[0] <= max(1e-9, 1e-12 * tr[1]):
+                tr[2].succeed(tr[1])
+            else:
+                still.append(tr)
+        self._active = still
+        self._reschedule()
+
+
+class _Occupancy:
+    """Occupancy-dependent rate (like ``SmtCore``/``_NicPipe``) with a
+    re-ratable ``factor`` (like a degraded NIC)."""
+
+    factor = 1.0
+
+    def _aggregate_rate(self, n):
+        return self.rate * self.factor * (1.0 + 0.25 * min(n - 1, 3)) / (
+            1.0 + 0.1 * (n > 4))
+
+
+class _OccupancySorted(_Occupancy, SharedBandwidth):
+    pass
+
+
+class _OccupancyReference(_Occupancy, _LinearScanPipe):
+    pass
+
+
+class _TimerCounting(Simulator):
+    def __init__(self):
+        super().__init__()
+        self.timer_pushes = 0
+
+    def schedule_at(self, time, fn, *args, priority=0):
+        if getattr(fn, "__name__", "") == "_on_timer":
+            self.timer_pushes += 1
+        super().schedule_at(time, fn, *args, priority=priority)
+
+
+_sizes = st.one_of(
+    st.floats(min_value=-3.0, max_value=9.0).map(lambda e: 10.0 ** e),
+    st.sampled_from([1e-3, 1.0, 1e3, 4096.0, 1e9]),
+)
+_times = st.one_of(
+    st.sampled_from([0.0, 1e-6, 0.5]),
+    st.floats(min_value=0.0, max_value=2.0),
+)
+
+
+class TestSortedMatchesLinearScan:
+    @given(
+        arrivals=st.lists(st.tuples(_times, _sizes), min_size=1, max_size=16),
+        rerates=st.lists(
+            st.tuples(_times, st.floats(min_value=0.1, max_value=4.0)),
+            max_size=4,
+        ),
+        rate=st.floats(min_value=1e3, max_value=1e9),
+        per_stream_rate=st.one_of(
+            st.none(), st.floats(min_value=1e2, max_value=1e9)),
+        occupancy=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_completions_match_reference(
+        self, arrivals, rerates, rate, per_stream_rate, occupancy
+    ):
+        """Same completion times (float ``==``), same completion order and
+        same timer pushes as the linear scan; ``_rem`` stays sorted."""
+
+        def simulate(sorted_pipe):
+            sim = _TimerCounting()
+            if sorted_pipe:
+                cls = _OccupancySorted if occupancy else SharedBandwidth
+            else:
+                cls = _OccupancyReference if occupancy else _LinearScanPipe
+            pipe = cls(sim, rate, per_stream_rate=per_stream_rate)
+            done = []
+
+            def arrive(i, start, nbytes):
+                yield sim.delay(start)
+                ev = pipe.transfer(nbytes)
+                ev.add_callback(lambda _ev: done.append((i, sim.now)))
+
+            def rerate(start, factor):
+                yield sim.delay(start)
+                pipe._advance()  # what Fabric.reprice_node does
+                pipe.factor = factor
+                pipe._reschedule()
+
+            for i, (start, nbytes) in enumerate(arrivals):
+                sim.spawn(arrive(i, start, nbytes))
+            for start, factor in rerates:
+                sim.spawn(rerate(start, factor))
+            while sim.step():
+                if sorted_pipe:
+                    rem = pipe._rem
+                    assert all(a <= b for a, b in zip(rem, rem[1:]))
+                    assert len(rem) == len(pipe._active)
+            sim.raise_failures()
+            return done, sim.timer_pushes
+
+        done, pushes = simulate(sorted_pipe=True)
+        ref_done, ref_pushes = simulate(sorted_pipe=False)
+        assert len(done) == len(arrivals)
+        assert done == ref_done
+        assert pushes == ref_pushes
 
 
 class TestBarrierProperties:

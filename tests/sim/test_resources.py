@@ -259,3 +259,29 @@ class TestSharedBandwidth:
         assert max(done_times) >= total / 64.0
         assert pipe.busy_time <= max(done_times) + 1e-9
         assert pipe.total_bytes == pytest.approx(total)
+
+    def test_transfer_started_from_completion_callback(self, sim):
+        """A synchronous completion callback may start a transfer on the
+        same pipe: it completes at its analytic time and no finished
+        transfer is succeeded twice."""
+        pipe = SharedBandwidth(sim, rate=100.0)
+        ends = {}
+        a = pipe.transfer(100.0)
+        c = pipe.transfer(100.0)  # a and c finish at t=3 (100/3 B/s each)
+        d = pipe.transfer(300.0)  # 200 B left at t=3
+
+        def start_b(_ev):
+            ends["a"] = sim.now
+            b = pipe.transfer(50.0)
+            b.add_callback(lambda _ev: ends.setdefault("b", sim.now))
+
+        a.add_callback(start_b)
+        c.add_callback(lambda _ev: ends.setdefault("c", sim.now))
+        d.add_callback(lambda _ev: ends.setdefault("d", sim.now))
+        sim.run()
+        # from t=3, b (50 B) and d (200 B) share 100 B/s: b is done at
+        # t=4, d drains its last 150 B alone by t=5.5.
+        assert ends["a"] == ends["c"] == pytest.approx(3.0)
+        assert ends["b"] == pytest.approx(4.0)
+        assert ends["d"] == pytest.approx(5.5)
+        assert c.value == 100.0 and not pipe._active
