@@ -84,12 +84,6 @@ def main(argv=None) -> int:
                         help="attempts per point before the worker queue "
                              "(--jobs N or --durable) quarantines it as "
                              "poison (default 3)")
-    parser.add_argument("--lease-timeout", type=float, default=30.0,
-                        metavar="SECONDS",
-                        help="heartbeat lease duration for queue workers "
-                             "(--jobs N or --durable); a worker silent this "
-                             "long is presumed dead and its point is "
-                             "reclaimed (default 30)")
     parser.add_argument("--journal-dir", metavar="DIR",
                         help="campaign journal location (default "
                              "<cache-dir>/journals)")
@@ -125,8 +119,6 @@ def main(argv=None) -> int:
         parser.error("--max-attempts must be >= 1")
     if args.point_timeout is not None and args.point_timeout <= 0:
         parser.error("--point-timeout must be > 0")
-    if args.lease_timeout <= 0:
-        parser.error("--lease-timeout must be > 0")
     if args.chaos:
         from repro.harness.chaos import ChaosPlan
 
@@ -134,11 +126,6 @@ def main(argv=None) -> int:
             ChaosPlan.parse(args.chaos)
         except FaultError as exc:
             parser.error(f"--chaos: {exc}")
-
-    # `run` compat: accept `python -m repro.harness run f4_2` like the
-    # docs' short form `python -m repro.harness f4_2`.
-    if args.experiments and args.experiments[0] == "run":
-        args.experiments = args.experiments[1:]
 
     if args.list:
         # static titles: no heavy experiment-module imports for a listing
@@ -151,6 +138,13 @@ def main(argv=None) -> int:
         parser.error("no experiments given (use ids, --all, or --list)")
     if args.trace and len(ids) > 1:
         parser.error("--trace takes exactly one experiment (one trace file)")
+    # every id is checked before the first experiment runs
+    for eid in ids:
+        if eid not in EXPERIMENTS:
+            parser.error(f"unknown experiment {eid!r}; available: "
+                         f"{', '.join(EXPERIMENTS.ids())}")
+        if args.faults and not EXPERIMENTS.get(eid).accepts_faults:
+            parser.error(f"experiment {eid!r} does not accept a --faults spec")
 
     chunks = []
     ok = True
@@ -165,17 +159,12 @@ def main(argv=None) -> int:
                 durable=args.durable, resume=args.resume,
                 point_timeout=args.point_timeout,
                 max_attempts=args.max_attempts,
-                lease_timeout=args.lease_timeout,
                 chaos=args.chaos, journal_dir=args.journal_dir,
                 summary_dir=args.summary_dir,
                 profile_dir=args.profile_dir,
             )
         except FaultError as exc:
             parser.error(f"--faults: {exc}")
-        except ValueError as exc:
-            if "--faults" in str(exc) or "faults" in str(exc):
-                parser.error(str(exc))
-            raise
         wall = time.time() - t0
         chunk = result.render() + f"\n(wall time {wall:.1f}s)\n"
         chunks.append(chunk)

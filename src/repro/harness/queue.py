@@ -181,7 +181,7 @@ class QueueExecutor:
 
     def __init__(self, jobs: int = 1, *, journal_dir=None,
                  resume: bool = False, max_attempts: int = 3,
-                 lease_s: float = 30.0, heartbeat_s: Optional[float] = None,
+                 lease_s: float = 30.0,
                  point_timeout: Optional[float] = None,
                  retry_base_s: float = 0.25,
                  chaos: Optional[str] = None,
@@ -201,7 +201,7 @@ class QueueExecutor:
         self.resume = resume
         self.max_attempts = max_attempts
         self.lease_s = lease_s
-        self.heartbeat_s = heartbeat_s if heartbeat_s is not None else lease_s / 4.0
+        self.heartbeat_s = lease_s / 4.0
         self.point_timeout = point_timeout
         self.retry_base_s = retry_base_s
         self.chaos = chaos

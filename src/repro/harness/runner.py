@@ -123,7 +123,6 @@ def run_experiment(
     resume: bool = False,
     point_timeout: Optional[float] = None,
     max_attempts: int = 3,
-    lease_timeout: float = 30.0,
     chaos: Optional[str] = None,
     journal_dir: Optional[str] = None,
     summary_dir: Optional[str] = None,
@@ -148,10 +147,10 @@ def run_experiment(
     Every multi-process run goes through the
     :class:`~repro.harness.queue.QueueExecutor`: failed points retry up
     to ``max_attempts`` times with backoff and are then quarantined, and
-    workers run under ``lease_timeout``-second heartbeat leases and an
-    optional per-point ``point_timeout`` wall-clock limit.  ``durable``
-    (implied by ``resume``, ``point_timeout``, or ``chaos``) runs the
-    queue even at one job and journals every point's lifecycle under
+    workers run under heartbeat leases and an optional per-point
+    ``point_timeout`` wall-clock limit.  ``durable`` (implied by
+    ``resume``, ``point_timeout``, or ``chaos``) runs the queue even at
+    one job and journals every point's lifecycle under
     ``journal_dir`` (default ``<cache or .repro-cache>/journals``);
     ``resume=True`` replays the journal to execute only unfinished
     points — the final report is byte-identical to an uninterrupted run.
@@ -195,8 +194,7 @@ def run_experiment(
         journal_dir = os.path.join(cache_dir or DEFAULT_CACHE_DIR, "journals")
     executor = make_executor(
         jobs, journal_dir=journal_dir, resume=resume,
-        max_attempts=max_attempts, lease_s=lease_timeout,
-        point_timeout=point_timeout, chaos=chaos,
+        max_attempts=max_attempts, point_timeout=point_timeout, chaos=chaos,
         meta={"experiment": experiment_id, "scale": scale},
     )
     campaign = Campaign(exp, scale=scale, faults=faults, cache=cache,

@@ -15,24 +15,23 @@ merge-summary → cross-run-analysis shape of etanalyzer:
   verdicts (the regression-detection engine the perf roadmap needs).
 * :mod:`repro.obs.analytics.check` — flags scaling-curve anomalies
   (non-monotone speedup, efficiency cliffs) in a single summary.
-* :mod:`repro.obs.analytics.trend` — N-way trajectories across committed
-  ``BENCH_<rev>.json`` baselines and campaign summaries, with first-bad
-  revision bisect hints when a metric crosses its threshold.
+* :mod:`repro.obs.analytics.trend` — N-way trajectories across campaign
+  summaries, with first-bad bisect hints when a metric crosses its
+  threshold.
 
 Everything here is a pure function of the summary artifacts: summarizing
 the same campaign twice — or the same campaign executed at ``--jobs 2``
 — produces byte-identical JSON, so summaries can be diffed, cached and
 committed like any other content-addressed artifact.  Wall-clock numbers
-deliberately live *outside* this schema (see ``benchmarks/
-emit_baseline.py``): they are host-dependent and would break the
-determinism contract.
+deliberately live *outside* this schema (see ``benchmarks/e2e/``): they
+are host-dependent and would break the determinism contract.
 
 Run as a CLI::
 
     python -m repro.obs.analytics summarize .summaries
     python -m repro.obs.analytics diff old/ new/
     python -m repro.obs.analytics check new/campaign-summary.json
-    python -m repro.obs.analytics trend benchmarks/baselines --check
+    python -m repro.obs.analytics trend old/ new/ --check
 """
 
 from repro.obs.analytics.check import CheckReport, check_summary

@@ -11,8 +11,8 @@ Examples::
     # scan a summary's scaling curves for anomalies (exit 1 on anomalies)
     python -m repro.obs.analytics check .summaries/def456
 
-    # N-way trajectory over committed baselines, with bisect hints
-    python -m repro.obs.analytics trend benchmarks/baselines --check
+    # N-way trajectory over campaign summaries, with bisect hints
+    python -m repro.obs.analytics trend .summaries/a/* .summaries/b/* --check
 """
 
 from __future__ import annotations
@@ -144,13 +144,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_trend = sub.add_parser(
         "trend",
-        help="N-way perf trajectory over BENCH baselines and/or campaign "
-             "summaries, with first-bad bisect hints",
+        help="N-way perf trajectory over campaign summaries, with "
+             "first-bad bisect hints",
     )
     p_trend.add_argument(
         "inputs", nargs="+",
-        help="BENCH_<rev>.json files, campaign summaries/dirs, or a "
-             "directory of BENCH_*.json baselines",
+        help="campaign summary files or campaign dirs, oldest first",
     )
     p_trend.add_argument(
         "--rel", type=float, default=0.2,

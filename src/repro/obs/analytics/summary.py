@@ -273,6 +273,8 @@ def load_summary(path) -> Dict[str, Any]:
             f"no campaign summary at {path} (run `python -m "
             "repro.obs.analytics summarize` first?)"
         ) from exc
+    if not isinstance(summary, dict) or "points" not in summary:
+        raise ValueError(f"{path}: not a campaign summary (no 'points' key)")
     schema = summary.get("schema")
     if schema != SCHEMA_VERSION:
         raise ValueError(

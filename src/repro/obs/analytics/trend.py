@@ -1,140 +1,68 @@
-"""Cross-revision perf trends: N-way trajectories with bisect hints.
+"""Campaign perf trends: N-way trajectories with bisect hints.
 
 ``diff`` compares exactly two campaign summaries; :func:`trend_report`
-ingests an ordered *sequence* of perf points — committed
-``BENCH_<rev>.json`` baselines (:mod:`benchmarks.emit_baseline`) and/or
-campaign summaries — and answers the longitudinal questions the ≥5x
-engine-throughput campaign needs:
+ingests an ordered *sequence* of them and answers the longitudinal
+questions:
 
-* **trajectory** — every metric's value at every revision, as one table;
-* **crossing detection** — a metric *crosses* when it moves beyond
-  ``rel`` in its bad direction relative to the **first** point (the
-  reference revision).  Normalized throughput is higher-better;
-  wall-clock, event and switch counts are lower-better.
-* **bisect hints** — for each crossed metric, the *first* revision at
-  which it crossed: the place to start a bisect, named explicitly.
+* **trajectory** — every metric's value at every point, as one table;
+* **crossing detection** — a metric *crosses* when it rises beyond
+  ``rel`` above the **first** point (the reference).  Every metric —
+  simulated seconds, engine events, context switches — is lower-better.
+* **bisect hints** — for each crossed metric, the *first* point at which
+  it crossed: the place to start a bisect, named explicitly.
 
 ``--check`` (exit 1) fires only when the **latest** point is in a
-crossed state — a metric that dipped and recovered is history, not a
+crossed state — a metric that rose and recovered is history, not a
 regression.  A zero reference value cannot anchor a relative threshold:
-such metrics flag (lower-better) only when they become nonzero, and
-never flag when higher-better (nothing below zero to drop to).
+such a metric flags only when it becomes nonzero.
 
-Points are classified by shape: a JSON object with ``experiments`` is a
-BENCH baseline (labelled by its ``rev``, ordered by ``generated`` then
-``rev``); one with ``points`` is a campaign summary (labelled by
-experiment + fingerprint, kept in argument order after the baselines).
-A directory argument expands to the sorted ``BENCH_*.json`` files in it.
+Points stay in argument order, each labelled by experiment +
+fingerprint; a directory argument means its ``campaign-summary.json``.
+Host wall clocks are not trended here: they are host-dependent and live
+in the cold-CLI benchmark under ``benchmarks/e2e/``.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.obs import names
+from repro.obs.analytics.summary import load_summary
 
 __all__ = ["TrendPoint", "TrendReport", "load_trend_points", "trend_report"]
-
-#: Metric-name suffixes whose *increase* is good; everything else is
-#: lower-better (times, event counts, switches).
-_HIGHER_BETTER = ("normalized", "events_per_s")
-
-
-def _direction(metric: str) -> int:
-    """+1 if higher is better, -1 if lower is better."""
-    return +1 if metric.endswith(_HIGHER_BETTER) else -1
 
 
 @dataclass
 class TrendPoint:
-    """One revision's worth of metric values."""
+    """One campaign summary's worth of metric values."""
 
-    label: str                     #: rev (baselines) or experiment@fp
-    kind: str                      #: "baseline" | "summary"
-    order: Tuple[str, str]         #: sort key within its kind
+    label: str                     #: experiment@fingerprint
     metrics: Dict[str, float] = field(default_factory=dict)
 
 
-def baseline_order(doc: Dict[str, Any], path: Path) -> Tuple[str, str]:
-    """A BENCH baseline's age key: ``generated`` stamp, then rev.
-
-    The one ordering of baselines; file mtimes are no substitute, since a
-    git checkout gives every file the same one.
-    """
-    return (str(doc.get("generated", "")), str(doc.get("rev", path.stem)))
-
-
-def _point_from_bench(doc: Dict[str, Any], path: Path) -> TrendPoint:
-    order = baseline_order(doc, path)
-    point = TrendPoint(label=order[1], kind="baseline", order=order)
-    for exp, row in sorted(doc.get("experiments", {}).items()):
-        for key in ("normalized", "wall_s", "events"):
-            if key in row:
-                point.metrics[f"{exp} {key}"] = float(row[key])
-    return point
-
-
-def _point_from_summary(doc: Dict[str, Any], path: Path) -> TrendPoint:
+def _point_from_summary(doc: Dict[str, Any], name: str) -> TrendPoint:
     head = doc.get("campaign", {})
-    label = (f"{head.get('experiment', path.stem)}"
-             f"@{str(head.get('fingerprint', ''))[:12]}")
-    point = TrendPoint(label=label, kind="summary", order=("", label))
+    exp = head.get("experiment", Path(name).stem)
     elapsed = 0.0
     events = 0
     switches = 0
-    for row in doc.get("points", []):
+    for row in doc["points"]:
         elapsed += float(row.get("elapsed_s", 0.0))
         engine = row.get("engine", {})
         events += int(engine.get(names.ENGINE_EVENTS_POPPED, 0))
         switches += int(engine.get(names.ENGINE_CONTEXT_SWITCHES, 0))
-    exp = head.get("experiment", path.stem)
-    point.metrics[f"{exp} sim_s"] = elapsed
-    point.metrics[f"{exp} engine_events"] = float(events)
-    point.metrics[f"{exp} engine_switches"] = float(switches)
-    return point
+    return TrendPoint(
+        label=f"{exp}@{str(head.get('fingerprint', ''))[:12]}",
+        metrics={f"{exp} sim_s": elapsed,
+                 f"{exp} engine_events": float(events),
+                 f"{exp} engine_switches": float(switches)})
 
 
 def load_trend_points(inputs: List[str]) -> List[TrendPoint]:
-    """Classify and order the CLI's input paths into trend points.
-
-    Baselines come first (ordered by generation time then rev, however
-    they were passed); campaign summaries follow in argument order.
-    """
-    baselines: List[TrendPoint] = []
-    summaries: List[TrendPoint] = []
-    paths: List[Path] = []
-    for name in inputs:
-        path = Path(name)
-        if path.is_dir():
-            bench_files = sorted(path.glob("BENCH_*.json"))
-            candidate = path / "campaign-summary.json"
-            if bench_files:
-                paths.extend(bench_files)
-            elif candidate.is_file():
-                paths.append(candidate)
-            else:
-                raise ValueError(
-                    f"{path}: no BENCH_*.json or campaign-summary.json found")
-        else:
-            paths.append(path)
-    for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: not a JSON object")
-        if "experiments" in doc:
-            baselines.append(_point_from_bench(doc, path))
-        elif "points" in doc:
-            summaries.append(_point_from_summary(doc, path))
-        else:
-            raise ValueError(
-                f"{path}: neither a BENCH baseline (no 'experiments' key) "
-                "nor a campaign summary (no 'points' key)")
-    baselines.sort(key=lambda p: p.order)
-    return baselines + summaries
+    """Load the CLI's input paths, in argument order, as trend points."""
+    return [_point_from_summary(load_summary(name), name) for name in inputs]
 
 
 @dataclass
@@ -163,14 +91,10 @@ class TrendReport:
         metrics = sorted({m for p in self.points for m in p.metrics})
         return {m: [p.metrics.get(m) for p in self.points] for m in metrics}
 
-    def _crossed(self, metric: str, ref: float, value: float) -> bool:
-        direction = _direction(metric)
+    def _crossed(self, ref: float, value: float) -> bool:
         if ref == 0.0:
-            # No relative anchor: lower-better metrics flag on becoming
-            # nonzero; higher-better ones have nothing to drop from.
-            return direction < 0 and value > 0.0
-        if direction > 0:
-            return value < (1.0 - self.rel) * ref
+            # No relative anchor: flag on becoming nonzero.
+            return value > 0.0
         return value > (1.0 + self.rel) * ref
 
     def _analyse(self) -> None:
@@ -183,14 +107,14 @@ class TrendReport:
             ref = anchored[0][1]
             first_bad = None
             for i, value in anchored[1:]:
-                if first_bad is None and self._crossed(metric, ref, value):
+                if first_bad is None and self._crossed(ref, value):
                     first_bad = self.points[i].label
             if first_bad is not None:
                 latest = anchored[-1][1]
                 self.crossings.append(Crossing(
                     metric=metric, first_bad=first_bad, reference=ref,
                     latest=latest,
-                    latest_crossed=self._crossed(metric, ref, latest)))
+                    latest_crossed=self._crossed(ref, latest)))
 
     # -- verdicts ----------------------------------------------------------
 
@@ -202,7 +126,7 @@ class TrendReport:
     def to_json(self) -> Dict[str, Any]:
         return {
             "rel": self.rel,
-            "points": [{"label": p.label, "kind": p.kind,
+            "points": [{"label": p.label,
                         "metrics": dict(sorted(p.metrics.items()))}
                        for p in self.points],
             "crossings": [{
@@ -227,11 +151,10 @@ class TrendReport:
             f"{label:>{w}}" for label, w in zip(labels, widths))
         lines.append(f"{'metric':<{name_w}}{header}")
         for metric, values in series.items():
-            arrow = "^" if _direction(metric) > 0 else "v"
             cells = " ".join(
                 f"{'-' if v is None else format(v, '.6g'):>{w}}"
                 for v, w in zip(values, widths))
-            lines.append(f"{metric:<{name_w}}  {cells}  [{arrow}]")
+            lines.append(f"{metric:<{name_w}}  {cells}")
         for crossing in self.crossings:
             state = ("STILL REGRESSED" if crossing.latest_crossed
                      else "recovered")
@@ -258,5 +181,5 @@ def trend_report(inputs: List[str], *, rel: float = 0.2) -> TrendReport:
     if len(points) < 2:
         raise ValueError(
             f"trend needs at least 2 points, got {len(points)} — pass more "
-            "BENCH_*.json baselines and/or campaign summaries")
+            "campaign summaries")
     return TrendReport(points, rel)

@@ -79,10 +79,33 @@ class TestCli:
         with pytest.raises(SystemExit):
             cli_main([])
 
-    def test_run_token_compat(self, capsys):
-        # Docs elsewhere use `python -m repro.harness run <id>`.
-        assert cli_main(["run", "t2_1"]) == 0
-        assert "Shape check: OK" in capsys.readouterr().out
+    def test_unknown_id_is_a_usage_error_before_any_run(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["t2_1", "nosuch"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Platform Characteristics" not in captured.out
+        assert "unknown experiment 'nosuch'" in captured.err
+
+    def test_run_token_is_an_unknown_id(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["run", "t2_1"])
+        assert exc.value.code == 2
+        assert "unknown experiment 'run'" in capsys.readouterr().err
+
+    def test_faults_acceptance_checked_before_any_run(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["r1", "t2_1", "--faults", "loss:prob=0.01"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "Shape check" not in captured.out
+        assert "'t2_1' does not accept a --faults spec" in captured.err
+
+    def test_bad_faults_spec_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["r1", "--no-cache", "--faults", "crash:node=zz"])
+        assert exc.value.code == 2
+        assert "--faults: bad node='zz'" in capsys.readouterr().err
 
 
 class TestCliTracing:
