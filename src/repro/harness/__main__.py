@@ -108,6 +108,9 @@ def main(argv=None) -> int:
                              "journal under DIR (a cache dir or a journals "
                              f"dir; default {DEFAULT_CACHE_DIR}) and exit")
     args = parser.parse_args(argv)
+    selected = args.experiments or args.all
+    if selected and (args.list or args.status is not None):
+        parser.error("--list and --status take no experiment ids or --all")
     if args.status is not None:
         from repro.harness.status import render_status
 

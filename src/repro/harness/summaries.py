@@ -47,7 +47,7 @@ def summarize_outcome(outcome, experiment_id: str, scale: str,
     groups on the batch are the raw material.  Quarantined points are
     **excluded** — an empty group would summarize to zeros, and a zero
     row is indistinguishable from a genuinely idle point, which poisons
-    ``diff``/``trend`` baselines.  Their indices are recorded in the
+    ``diff`` baselines.  Their indices are recorded in the
     header's ``quarantined`` list instead, and the healthy points keep
     their campaign-global indices (hence byte-identical artifacts to the
     same points summarized from a fully healthy run).

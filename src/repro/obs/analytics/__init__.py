@@ -10,14 +10,12 @@ merge-summary → cross-run-analysis shape of etanalyzer:
   and steal statistics, engine self-measurement) and merges all points
   into one content-addressed ``campaign-summary.json`` keyed by the
   campaign fingerprint.
-* :mod:`repro.obs.analytics.diff` — compares two campaign summaries and
+* :mod:`repro.obs.analytics.diff` — compares campaign summaries and
   localizes *which point/phase/link/barrier* regressed, with thresholded
-  verdicts (the regression-detection engine the perf roadmap needs).
+  verdicts: two summaries, or an ordered run of them where each flagged
+  cell shows its trajectory and the first input that flagged it.
 * :mod:`repro.obs.analytics.check` — flags scaling-curve anomalies
   (non-monotone speedup, efficiency cliffs) in a single summary.
-* :mod:`repro.obs.analytics.trend` — N-way trajectories across campaign
-  summaries, with first-bad bisect hints when a metric crosses its
-  threshold.
 
 Everything here is a pure function of the summary artifacts: summarizing
 the same campaign twice — or the same campaign executed at ``--jobs 2``
@@ -30,12 +28,12 @@ Run as a CLI::
 
     python -m repro.obs.analytics summarize .summaries
     python -m repro.obs.analytics diff old/ new/
+    python -m repro.obs.analytics diff old/ mid/ new/
     python -m repro.obs.analytics check new/campaign-summary.json
-    python -m repro.obs.analytics trend old/ new/ --check
 """
 
 from repro.obs.analytics.check import CheckReport, check_summary
-from repro.obs.analytics.diff import DiffReport, diff_summaries
+from repro.obs.analytics.diff import DiffReport, diff_sequence, diff_summaries
 from repro.obs.analytics.summary import (
     SCHEMA_VERSION,
     canonical_dumps,
@@ -47,15 +45,14 @@ from repro.obs.analytics.summary import (
     summarize_tracers,
     write_campaign,
 )
-from repro.obs.analytics.trend import TrendReport, trend_report
 
 __all__ = [
     "SCHEMA_VERSION",
     "CheckReport",
     "DiffReport",
-    "TrendReport",
     "canonical_dumps",
     "check_summary",
+    "diff_sequence",
     "diff_summaries",
     "find_campaign_dirs",
     "load_summary",
@@ -63,6 +60,5 @@ __all__ = [
     "point_summary",
     "summarize_campaign_dir",
     "summarize_tracers",
-    "trend_report",
     "write_campaign",
 ]

@@ -1,4 +1,4 @@
-"""CLI for campaign analytics: summarize / diff / check / trend.
+"""CLI for campaign analytics: summarize / diff / check.
 
 Examples::
 
@@ -8,11 +8,12 @@ Examples::
     # localize regressions between two campaigns (exit 1 on regressions)
     python -m repro.obs.analytics diff .summaries/abc123 .summaries/def456
 
+    # an ordered run, oldest first: each candidate against the first; the
+    # last one sets the verdict, flagged cells name their first bad input
+    python -m repro.obs.analytics diff old/ mid/ new/
+
     # scan a summary's scaling curves for anomalies (exit 1 on anomalies)
     python -m repro.obs.analytics check .summaries/def456
-
-    # N-way trajectory over campaign summaries, with bisect hints
-    python -m repro.obs.analytics trend .summaries/a/* .summaries/b/* --check
 """
 
 from __future__ import annotations
@@ -22,14 +23,13 @@ import sys
 from typing import List, Optional
 
 from repro.obs.analytics.check import check_summary
-from repro.obs.analytics.diff import diff_summaries
+from repro.obs.analytics.diff import diff_sequence
 from repro.obs.analytics.summary import (
     canonical_dumps,
     find_campaign_dirs,
     load_summary,
     summarize_campaign_dir,
 )
-from repro.obs.analytics.trend import trend_report
 
 
 def _cmd_summarize(args: argparse.Namespace) -> int:
@@ -46,11 +46,10 @@ def _cmd_summarize(args: argparse.Namespace) -> int:
 
 
 def _cmd_diff(args: argparse.Namespace) -> int:
-    before = load_summary(args.before)
-    after = load_summary(args.after)
-    report = diff_summaries(
-        before, after, rel=args.rel, share_floor=args.share_floor,
-        count_floor=args.count_floor,
+    inputs = [args.reference, *args.candidates]
+    report = diff_sequence(
+        [(name, load_summary(name)) for name in inputs], rel=args.rel,
+        share_floor=args.share_floor, count_floor=args.count_floor,
     )
     if args.json:
         print(canonical_dumps(report.to_json()), end="")
@@ -72,17 +71,6 @@ def _cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
-def _cmd_trend(args: argparse.Namespace) -> int:
-    report = trend_report(args.inputs, rel=args.rel)
-    if args.json:
-        print(canonical_dumps(report.to_json()), end="")
-    else:
-        print(report.render())
-    if args.check:
-        return 0 if report.ok else 1
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.obs.analytics",
@@ -101,10 +89,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_sum.set_defaults(func=_cmd_summarize)
 
     p_diff = sub.add_parser(
-        "diff", help="compare two campaign summaries; exit 1 on regressions",
+        "diff",
+        help="compare campaign summaries with the first; exit 1 on "
+             "regressions at the last",
     )
-    p_diff.add_argument("before", help="baseline summary file or campaign dir")
-    p_diff.add_argument("after", help="candidate summary file or campaign dir")
+    p_diff.add_argument("reference",
+                        help="baseline summary file or campaign dir")
+    p_diff.add_argument(
+        "candidates", nargs="+",
+        help="candidate summary files or campaign dirs, oldest first",
+    )
     p_diff.add_argument(
         "--rel", type=float, default=0.05,
         help="relative change needed to flag a metric (default 0.05)",
@@ -142,27 +136,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the report as canonical JSON")
     p_check.set_defaults(func=_cmd_check)
 
-    p_trend = sub.add_parser(
-        "trend",
-        help="N-way perf trajectory over campaign summaries, with "
-             "first-bad bisect hints",
-    )
-    p_trend.add_argument(
-        "inputs", nargs="+",
-        help="campaign summary files or campaign dirs, oldest first",
-    )
-    p_trend.add_argument(
-        "--rel", type=float, default=0.2,
-        help="relative move (vs the first point) that counts as a "
-             "threshold crossing (default 0.2)",
-    )
-    p_trend.add_argument(
-        "--check", action="store_true",
-        help="exit 1 if the latest point is in a crossed (regressed) state",
-    )
-    p_trend.add_argument("--json", action="store_true",
-                         help="emit the report as canonical JSON")
-    p_trend.set_defaults(func=_cmd_trend)
     return parser
 
 

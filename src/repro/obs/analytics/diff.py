@@ -19,20 +19,28 @@ Decreases beyond the same thresholds are reported as improvements;
 structural mismatches (different experiments, point counts, apps or
 schema) are *errors*, not silently skipped cells.  The rendered report
 and JSON form are deterministic: rows sort by point index then metric.
+
+:func:`diff_sequence` folds an ordered run of summaries (oldest first)
+into one report: every candidate is compared with the first summary
+under the same rules, the last candidate sets the verdict, and each
+flagged cell carries its value at every input plus the first input that
+flagged it (where to start a bisect).  A regression seen only at an
+intermediate input is listed as ``recovered`` and does not fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Tuple
+from typing import Any, Dict, Iterator, List, Sequence, Tuple
 
 from repro.obs import names
 from repro.obs.analytics.summary import SCHEMA_VERSION
 
-__all__ = ["Delta", "DiffReport", "diff_summaries"]
+__all__ = ["Delta", "DiffReport", "diff_sequence", "diff_summaries"]
 
 _REGRESSION = "regression"
 _IMPROVEMENT = "improvement"
+_RECOVERED = "recovered"
 
 
 @dataclass(frozen=True)
@@ -44,7 +52,10 @@ class Delta:
     metric: str           #: what moved, e.g. "phase 'search'"
     before: float
     after: float
-    kind: str             #: "regression" | "improvement"
+    kind: str             #: "regression" | "improvement" | "recovered"
+    #: N-way only: the value at every input, and the first input to flag it
+    trail: Tuple[float, ...] = ()
+    first: str = ""
 
     @property
     def rel_change(self) -> float:
@@ -53,16 +64,22 @@ class Delta:
         return (self.after - self.before) / self.before
 
     def row(self) -> Dict[str, Any]:
-        return {
+        row = {
             "point": self.point, "label": self.label, "metric": self.metric,
             "before": self.before, "after": self.after, "kind": self.kind,
         }
+        if self.trail:
+            row.update(trail=list(self.trail), first=self.first)
+        return row
 
     def render(self) -> str:
         rel = self.rel_change
         pct = "new" if rel == float("inf") else f"{100.0 * rel:+.1f}%"
+        values = " -> ".join(
+            f"{v:.6g}" for v in self.trail or (self.before, self.after))
+        tag = f"{self.kind}, first at {self.first}" if self.trail else self.kind
         return (f"point {self.point} ({self.label}): {self.metric} {pct} "
-                f"({self.before:.6g} -> {self.after:.6g}) [{self.kind}]")
+                f"({values}) [{tag}]")
 
 
 class DiffReport:
@@ -124,12 +141,22 @@ class DiffReport:
         return "\n".join(lines)
 
 
-def _point_metrics(point: Dict[str, Any]) -> Iterator[Tuple[str, float, str]]:
-    """Yield ``(metric name, value, basis)`` for every comparable cell.
+def _point_metrics(point: Dict[str, Any],
+                   where: str) -> Dict[str, Tuple[float, str]]:
+    """Map every comparable cell's metric name to ``(value, basis)``.
 
     ``basis`` is ``"seconds"`` (thresholded against the point's total
-    simulated time) or ``"count"`` (thresholded absolutely).
+    simulated time) or ``"count"`` (thresholded absolutely).  A point
+    missing a summary field is a :class:`ValueError` naming ``where``.
     """
+    try:
+        return {m: (v, basis) for m, v, basis in _cells(point)}
+    except KeyError as exc:
+        raise ValueError(
+            f"{where} is malformed: no {exc.args[0]!r} field") from None
+
+
+def _cells(point: Dict[str, Any]) -> Iterator[Tuple[str, float, str]]:
     yield "time", point["elapsed_s"], "seconds"
     for cat in sorted(point["breakdown"]["categories"]):
         yield (f"breakdown {cat}", point["breakdown"]["categories"][cat],
@@ -153,19 +180,19 @@ def _point_metrics(point: Dict[str, Any]) -> Iterator[Tuple[str, float, str]]:
     yield "comm bytes", float(nbytes), "count"
 
 
+def _head(summary: Dict[str, Any]) -> str:
+    head = summary.get("campaign", {})
+    return (f"{head.get('experiment', '?')}/{head.get('scale', '?')} "
+            f"{head.get('fingerprint', '?')[:12]}")
+
+
 def diff_summaries(before: Dict[str, Any], after: Dict[str, Any], *,
                    rel: float = 0.05, share_floor: float = 0.01,
                    count_floor: float = 16.0) -> DiffReport:
     """Compare two campaign summaries; see the module docstring for rules."""
     head_a = before.get("campaign", {})
     head_b = after.get("campaign", {})
-    title = (
-        f"{head_a.get('experiment', '?')}/{head_a.get('scale', '?')} "
-        f"{head_a.get('fingerprint', '?')[:12]} -> "
-        f"{head_b.get('experiment', '?')}/{head_b.get('scale', '?')} "
-        f"{head_b.get('fingerprint', '?')[:12]}"
-    )
-    report = DiffReport(title)
+    report = DiffReport(f"{_head(before)} -> {_head(after)}")
     for side, summary in (("before", before), ("after", after)):
         if summary.get("schema") != SCHEMA_VERSION:
             report.errors.append(
@@ -199,9 +226,9 @@ def diff_summaries(before: Dict[str, Any], after: Dict[str, Any], *,
             )
             continue
         label = str(pa.get("app", "?"))
-        time_scale = max(pa["elapsed_s"], pb["elapsed_s"], 0.0)
-        metrics_a = {m: (v, basis) for m, v, basis in _point_metrics(pa)}
-        metrics_b = {m: (v, basis) for m, v, basis in _point_metrics(pb)}
+        metrics_a = _point_metrics(pa, f"before point {index}")
+        metrics_b = _point_metrics(pb, f"after point {index}")
+        time_scale = max(metrics_a["time"][0], metrics_b["time"][0], 0.0)
         for metric in sorted(set(metrics_a) | set(metrics_b)):
             value_a, basis = metrics_a.get(
                 metric, (0.0, metrics_b.get(metric, (0.0, "count"))[1]))
@@ -228,3 +255,50 @@ def diff_summaries(before: Dict[str, Any], after: Dict[str, Any], *,
                 Delta(index, label, metric, value_a, value_b, kind)
             )
     return report
+
+
+def diff_sequence(inputs: Sequence[Tuple[str, Dict[str, Any]]],
+                  **thresholds: float) -> DiffReport:
+    """Compare every named summary after the first with the first.
+
+    ``inputs`` are ``(name, summary)`` pairs, oldest first; ``thresholds``
+    are :func:`diff_summaries`'s.  Two inputs give exactly its report.
+    With more, the last candidate's regressions set the verdict, every
+    comparison's errors count, and each flagged cell shows its value at
+    every input and the name of the first input that flagged it.
+    """
+    if len(inputs) < 2:
+        raise ValueError(
+            "diff needs a reference and at least one candidate summary, "
+            f"got {len(inputs)} input(s)")
+    (_, reference), *candidates = inputs
+    reports = [diff_summaries(reference, doc, **thresholds)
+               for _, doc in candidates]
+    if len(reports) == 1:
+        return reports[0]
+    fold = DiffReport(" -> ".join(_head(doc) for _, doc in inputs))
+    fold.compared = reports[-1].compared
+    first: Dict[Tuple[int, str, str], str] = {}
+    for (name, _), report in zip(candidates, reports):
+        fold.errors += [f"{name}: {err}" for err in report.errors]
+        for d in report.deltas:
+            first.setdefault((d.point, d.metric, d.kind), name)
+    rows = {(d.point, d.metric): (d, d.kind) for d in reports[-1].deltas}
+    for report in reports[:-1]:
+        for d in report.regressions:
+            rows.setdefault((d.point, d.metric), (d, _RECOVERED))
+    for (point, metric), (d, kind) in sorted(rows.items()):
+        trail = tuple(_value(name, doc, point, metric) for name, doc in inputs)
+        fold.deltas.append(Delta(point, d.label, metric, trail[0], trail[-1],
+                                 kind, trail, first[point, metric, d.kind]))
+    return fold
+
+
+def _value(name: str, summary: Dict[str, Any], point: int,
+           metric: str) -> float:
+    """One cell of one summary; NaN when the summary lacks the point."""
+    points = summary["points"]
+    if point >= len(points):
+        return float("nan")
+    cells = _point_metrics(points[point], f"{name} point {point}")
+    return cells.get(metric, (0.0,))[0]

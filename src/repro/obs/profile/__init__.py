@@ -1,7 +1,7 @@
 """repro.obs.profile — two-mode engine profiling with flamegraph export.
 
-The scoreboard for the ROADMAP's ≥5x engine-throughput campaign: *where*
-does the pure-Python engine spend time?  Two complementary answers:
+*Where* does the pure-Python engine spend time, layer by layer, behind
+the end-to-end totals of ``benchmarks/e2e/``?  Two complementary answers:
 
 * **host** (:mod:`~repro.obs.profile.host`): a ``sys.setprofile``
   wall-clock profiler over a curated site registry

@@ -2,8 +2,8 @@
 
 Both profilers (:mod:`repro.obs.profile.host` and
 :mod:`repro.obs.profile.cost`) attribute work to **sites** — short,
-stable identifiers for the engine subsystems the ROADMAP's speedup work
-cares about — rather than to raw code frames.  Raw frames churn with
+stable identifiers for the engine subsystems a performance change
+targets — rather than to raw code frames.  Raw frames churn with
 every refactor and differ between Python versions; the curated registry
 is what makes a profile from revision N diffable against revision N+10.
 

@@ -101,6 +101,18 @@ class TestCli:
         assert "Shape check" not in captured.out
         assert "'t2_1' does not accept a --faults spec" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["t2_1", "--list"], ["--all", "--list"],
+        ["t2_1", "--status", "cache"], ["--all", "--status"],
+    ])
+    def test_ids_with_list_or_status_are_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "take no experiment ids or --all" in captured.err
+
     def test_bad_faults_spec_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli_main(["r1", "--no-cache", "--faults", "crash:node=zz"])

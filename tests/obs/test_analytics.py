@@ -15,6 +15,7 @@ from repro.obs.analytics import (
     SCHEMA_VERSION,
     canonical_dumps,
     check_summary,
+    diff_sequence,
     diff_summaries,
     find_campaign_dirs,
     load_summary,
@@ -308,3 +309,205 @@ class TestCli:
     def test_missing_summary_is_a_clean_error(self, tmp_path, capsys):
         assert analytics_main(["summarize", str(tmp_path / "nope")]) == 2
         assert analytics_main(["check", str(tmp_path / "nope")]) == 2
+
+
+def _series(tmp_path, elapsed, events=None):
+    """One summary file per value, written r0.json, r1.json, ... in order."""
+    paths = []
+    for i, value in enumerate(elapsed):
+        doc = _summary([_point(0, elapsed=value)])
+        if events is not None:
+            doc["points"][0]["engine"][names.ENGINE_EVENTS_POPPED] = events[i]
+        path = tmp_path / f"r{i}.json"
+        path.write_text(json.dumps(doc))
+        paths.append(str(path))
+    return paths
+
+
+def _fold(paths):
+    return diff_sequence([(p, load_summary(p)) for p in paths])
+
+
+class TestDiffSequence:
+    """``diff REF CAND [CAND ...]``: an ordered run against its first input."""
+
+    def test_two_inputs_are_exactly_diff_summaries(self, tmp_path):
+        base, worse = _series(tmp_path, (1.0, 2.0))
+        fold = _fold([base, worse])
+        plain = diff_summaries(load_summary(base), load_summary(worse))
+        assert fold.render() == plain.render()
+        assert fold.to_json() == plain.to_json()
+
+    def test_fewer_than_two_inputs_is_an_error(self, tmp_path):
+        (only,) = _series(tmp_path, (1.0,))
+        with pytest.raises(ValueError, match="at least one candidate"):
+            _fold([only])
+
+    def test_steady_sequence_is_clean(self, tmp_path):
+        report = _fold(_series(tmp_path, (1.0, 1.02, 0.98)))
+        assert report.ok
+        assert report.deltas == []
+
+    def test_first_bad_input_is_named(self, tmp_path):
+        # r1 runs 50% longer than the reference and r2 stays there
+        paths = _series(tmp_path, (1.0, 1.5, 1.6))
+        report = _fold(paths)
+        assert not report.ok
+        (delta,) = report.regressions
+        assert (delta.metric, delta.first) == ("time", paths[1])
+        assert delta.trail == (1.0, 1.5, 1.6)
+
+    def test_renders_the_trajectory(self, tmp_path):
+        paths = _series(tmp_path, (1.0, 1.5, 1.6))
+        lines = _fold(paths).render().splitlines()
+        head = "f3_3/quick aaaaaaaaaaaa"
+        assert lines[0] == f"campaign diff: {head} -> {head} -> {head}"
+        assert lines[1] == (f"  point 0 (uts): time +60.0% (1 -> 1.5 -> 1.6) "
+                            f"[regression, first at {paths[1]}]")
+        assert lines[2].startswith("verdict: REGRESSED — 1 regression(s)")
+
+    def test_recovered_dip_passes_and_is_listed(self, tmp_path):
+        paths = _series(tmp_path, (1.0, 2.0, 1.02))
+        report = _fold(paths)
+        assert report.ok  # the last input is back within threshold
+        assert report.regressions == []
+        (delta,) = report.deltas
+        assert (delta.kind, delta.first) == ("recovered", paths[1])
+        assert "recovered" in report.render()
+
+    def test_decrease_never_fails(self, tmp_path):
+        report = _fold(_series(tmp_path, (1.0, 0.5, 0.1),
+                               events=(1000, 100, 10)))
+        assert report.ok
+        assert {d.kind for d in report.deltas} == {"improvement"}
+
+    def test_count_metric_flags_on_increase(self, tmp_path):
+        report = _fold(_series(tmp_path, (1.0, 1.0, 1.0),
+                               events=(1000, 1000, 2000)))
+        assert [d.metric for d in report.regressions] == ["engine events"]
+
+    def test_zero_cell_flags_once_it_clears_the_floor(self, tmp_path):
+        # engine events 0 -> 10 stays under the count floor (16); 0 -> 100
+        # is new cost, named at the input where it first cleared it
+        paths = _series(tmp_path, (1.0, 1.0, 1.0), events=(0, 10, 100))
+        report = _fold(paths)
+        (delta,) = report.regressions
+        assert (delta.metric, delta.first) == ("engine events", paths[2])
+        assert "new" in delta.render()
+
+    def test_structural_error_at_any_input_fails(self, tmp_path):
+        base, same = _series(tmp_path, (1.0, 1.0))
+        other = tmp_path / "other.json"
+        other.write_text(json.dumps(
+            _summary([_point(0, elapsed=1.0)], experiment="t3_1")))
+        report = _fold([base, str(other), same])
+        assert not report.ok
+        assert report.errors == [
+            f"{other}: experiments differ: 'f3_3' vs 't3_1'"]
+
+    def test_missing_point_shows_as_nan(self):
+        base = _summary([_point(0), _point(1, elapsed=1.0)])
+        worse = copy.deepcopy(base)
+        worse["points"][1]["elapsed_s"] = 2.0
+        short = _summary([_point(0)])
+        report = diff_sequence([("base", base), ("worse", worse),
+                                ("short", short)])
+        assert report.errors == [
+            "short: point counts differ: 2 vs 1; comparing the common prefix"]
+        (delta,) = report.deltas
+        assert delta.kind == "recovered"
+        assert "(1 -> 2 -> nan)" in delta.render()
+
+    def test_malformed_point_is_a_value_error(self):
+        base = _summary([_point(0)])
+        bad = copy.deepcopy(base)
+        del bad["points"][0]["breakdown"]
+        with pytest.raises(ValueError, match="after point 0 .*'breakdown'"):
+            diff_summaries(base, bad)
+
+
+class TestDiffSequenceCli:
+    def test_summaries_keep_argument_order(self, tmp_path, capsys):
+        r0, r1, r2 = _series(tmp_path, (1.0, 2.0, 3.0))
+        # r2 is the reference: both candidates improve on it, r0 first
+        assert analytics_main(["diff", r2, r0, r1, "--json"]) == 0
+        (row,) = json.loads(capsys.readouterr().out)["deltas"]
+        assert (row["trail"], row["first"]) == ([3.0, 1.0, 2.0], r0)
+        assert row["kind"] == "improvement"
+
+    def test_campaign_dir_means_its_summary(self, tmp_path, capsys):
+        (path,) = _series(tmp_path, (1.0,))
+        campaign = tmp_path / "campaign"
+        campaign.mkdir()
+        (campaign / "campaign-summary.json").write_text(
+            (tmp_path / "r0.json").read_text())
+        assert analytics_main(["diff", str(campaign), path, path]) == 0
+        assert "CLEAN" in capsys.readouterr().out
+
+    def test_empty_directory_is_a_usage_error(self, tmp_path, capsys):
+        (path,) = _series(tmp_path, (1.0,))
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert analytics_main(["diff", path, str(empty)]) == 2
+        assert "campaign-summary.json" in capsys.readouterr().err
+
+    def test_old_baseline_shape_is_not_a_summary(self, tmp_path, capsys):
+        (path,) = _series(tmp_path, (1.0,))
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({"experiments": {}}))
+        assert analytics_main(["diff", str(old), path, path]) == 2
+        assert "not a campaign summary" in capsys.readouterr().err
+
+    def test_unknown_shape_is_a_usage_error(self, tmp_path, capsys):
+        (path,) = _series(tmp_path, (1.0,))
+        junk = tmp_path / "junk.json"
+        junk.write_text(json.dumps({"neither": 1}))
+        assert analytics_main(["diff", path, path, str(junk)]) == 2
+        assert "not a campaign summary" in capsys.readouterr().err
+
+    def test_missing_input_is_a_usage_error(self, tmp_path, capsys):
+        assert analytics_main(["diff", str(tmp_path / "nope.json"),
+                               str(tmp_path / "nope2.json")]) == 2
+        assert "error:" in capsys.readouterr().err
+
+    def test_fewer_than_two_inputs_is_a_usage_error(self, tmp_path):
+        (path,) = _series(tmp_path, (1.0,))
+        with pytest.raises(SystemExit) as exc:
+            analytics_main(["diff", path])
+        assert exc.value.code == 2
+
+    def test_last_input_sets_the_exit_code(self, tmp_path, capsys):
+        r0, r1, r2 = _series(tmp_path, (1.0, 2.5, 1.0))
+        assert analytics_main(["diff", r0, r1]) == 1
+        assert analytics_main(["diff", r0, r1, r2]) == 0
+        assert analytics_main(["diff", r0, r2, r1]) == 1
+        out = capsys.readouterr().out
+        assert f"[recovered, first at {r1}]" in out
+        assert f"[regression, first at {r1}]" in out
+
+    def test_rel_loosens_the_gate(self, tmp_path):
+        paths = _series(tmp_path, (1.0, 1.0, 1.4))
+        assert analytics_main(["diff", *paths, "--rel", "0.2"]) == 1
+        assert analytics_main(["diff", *paths, "--rel", "0.5"]) == 0
+
+    def test_json_output_is_canonical(self, tmp_path, capsys):
+        paths = _series(tmp_path, (1.0, 2.0, 1.0))
+        assert analytics_main(["diff", *paths, "--json"]) == 0
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert doc["ok"] is True
+        assert [row["kind"] for row in doc["deltas"]] == ["recovered"]
+        assert out == canonical_dumps(doc)
+
+    def test_malformed_summary_is_a_usage_error(self, tmp_path, capsys):
+        # a schema-1 summary whose point lacks every section but engine
+        bad = tmp_path / "x.json"
+        bad.write_text(json.dumps({
+            "schema": SCHEMA_VERSION,
+            "campaign": {"experiment": "t3_1", "scale": "quick",
+                         "fingerprint": "d" * 64},
+            "points": [{"elapsed_s": 1.0, "engine": {}}]}))
+        assert analytics_main(["diff", str(bad), str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "point 0" in err and "'breakdown'" in err

@@ -2,9 +2,11 @@
 
 A trace records every span, instant and counter sample of a run at full
 float precision, so a byte-identical trace is the strongest evidence
-that a refactor or speedup did not change behaviour.  The three
+that a refactor or speedup did not change behaviour.  The five
 experiments cover the fabric's processor-sharing pipes (f3_4), the
-multi-link microbenchmark (f4_2) and UTS under injected faults (r1).
+multi-link microbenchmark (f4_2), UTS under injected faults (r1), the
+STREAM apps (t3_1) and the sub-thread layer under hybrid placement
+(t4_1).
 Each runs under two hash seeds, so a trace that depends on set or dict
 ordering of hashed keys fails here too.
 """
