@@ -12,6 +12,10 @@ dominates execution and motivates both of the thesis's approaches.
 * :mod:`~repro.apps.ft.distributed` — the UPC implementations
   (split-phase and overlap; pure, pthreads, and hybrid sub-threads)
   plus the MPI comparator, with per-phase timing.
+
+NumPy is imported inside the functions that compute with arrays (the
+serial reference and the real-backed data plane), never at module
+import, so virtual-backed timing runs do not load it.
 """
 
 from repro.apps.ft.classes import FT_CLASSES, FtClass, ft_class

@@ -11,12 +11,13 @@ which is what the end-to-end checksum verification exercises.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.apps.ft.classes import FtClass
 from repro.apps.ft.kernel import initial_condition
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FtState"]
 
@@ -69,6 +70,8 @@ class FtState:
         """(Inverse) 2-D FFT over (y, x) of the thread's D1 slab."""
         if not self.real:
             return
+        import numpy as np
+
         fn = np.fft.ifft2 if inverse else np.fft.fft2
         self.d1[thread] = fn(self.d1[thread], axes=(1, 2))
 
@@ -76,6 +79,8 @@ class FtState:
         """(Inverse) 1-D FFT along z of the thread's D2 slab."""
         if not self.real:
             return
+        import numpy as np
+
         fn = np.fft.ifft if inverse else np.fft.fft
         self.d2[thread] = fn(self.d2[thread], axis=1)
 
@@ -91,6 +96,8 @@ class FtState:
 
     def factors_slice_d2(self, thread: int, factors: np.ndarray) -> np.ndarray:
         """The (lny, nz, nx) slice of global (nz, ny, nx) factors for D2."""
+        import numpy as np
+
         y0 = thread * self.lny
         return np.ascontiguousarray(
             factors[:, y0:y0 + self.lny, :].transpose(1, 0, 2)
@@ -118,6 +125,8 @@ class FtState:
         """Assemble the thread's D2 slab from received (i -> me) blocks."""
         if not self.real:
             return
+        import numpy as np
+
         cls = self.cls
         slab = np.empty((self.lny, cls.nz, cls.nx), dtype=np.complex128)
         for i in range(self.threads):
@@ -129,6 +138,8 @@ class FtState:
         """Assemble the thread's D1 slab from received (i -> me) blocks."""
         if not self.real:
             return
+        import numpy as np
+
         cls = self.cls
         slab = np.empty((self.lnz, cls.ny, cls.nx), dtype=np.complex128)
         for i in range(self.threads):
@@ -140,6 +151,8 @@ class FtState:
         """This thread's share of the NAS checksum (points in its D1 slab)."""
         if not self.real:
             return 0j
+        import numpy as np
+
         cls = self.cls
         j = np.arange(1, 1025)
         q = j % cls.nx
@@ -155,4 +168,6 @@ class FtState:
         """The full field assembled from D1 slabs (verification only)."""
         if not self.real:
             raise ValueError("virtual backing has no data to gather")
+        import numpy as np
+
         return np.concatenate([self.d1[t] for t in range(self.threads)], axis=0)

@@ -23,9 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.apps.ft.classes import FtClass, ft_class
 from repro.apps.ft.data import FtState
@@ -34,6 +32,9 @@ from repro.machine.presets import PlatformPreset, lehman
 from repro.obs import names
 from repro.subthreads import Cilk, OpenMP, ThreadPool, ThreadSafety
 from repro.upc import UpcProgram, collectives
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["FtConfig", "run_ft", "run_exchange_only"]
 

@@ -10,11 +10,12 @@ code is ``u(x,y,z)`` column-major — the memory layouts coincide.)
 from __future__ import annotations
 
 import math
-from typing import List
-
-import numpy as np
+from typing import TYPE_CHECKING, List
 
 from repro.apps.ft.classes import FtClass
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "nas_random",
@@ -43,6 +44,8 @@ def nas_random(n: int, seed: int = NAS_SEED) -> np.ndarray:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    import numpy as np
+
     out = np.empty(n, dtype=np.float64)
     x = seed
     a = _NAS_A
@@ -62,6 +65,8 @@ def initial_condition(cls: FtClass, seed: int = NAS_SEED) -> np.ndarray:
 
 def _wrapped_sq(n: int) -> np.ndarray:
     """Squared 'signed' frequency indices: k -> min(k, n-k)^2 pattern."""
+    import numpy as np
+
     k = np.arange(n)
     kbar = np.where(k <= n // 2, k, k - n)
     return (kbar * kbar).astype(np.float64)
@@ -71,6 +76,8 @@ def evolve_factors(cls: FtClass, t: int) -> np.ndarray:
     """``exp(-4 π² α t k̄²)`` over the (nz, ny, nx) frequency grid."""
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
+    import numpy as np
+
     kz = _wrapped_sq(cls.nz)[:, None, None]
     ky = _wrapped_sq(cls.ny)[None, :, None]
     kx = _wrapped_sq(cls.nx)[None, None, :]
@@ -83,6 +90,8 @@ def checksum(x: np.ndarray, cls: FtClass) -> complex:
 
     NAS (1-based): q = mod(j,nx)+1, r = mod(3j,ny)+1, s = mod(5j,nz)+1.
     """
+    import numpy as np
+
     j = np.arange(1, 1025)
     q = j % cls.nx
     r = (3 * j) % cls.ny
@@ -95,6 +104,8 @@ def serial_ft(cls: FtClass, iterations: int = 0, seed: int = NAS_SEED) -> List[c
 
     ``iterations=0`` uses the class's standard count.
     """
+    import numpy as np
+
     iters = iterations or cls.iterations
     u0 = initial_condition(cls, seed=seed)
     u1 = np.fft.fftn(u0)

@@ -83,6 +83,9 @@ class Fabric:
         self.params = params
         self.stats = stats if stats is not None else StatsCollector(sim)
         self._active_conns: Dict[int, int] = {n.index: 0 for n in topo.nodes}
+        #: The NIC bandwidth multiplier applied per node, set at
+        #: degradation edges by :meth:`reprice_node`.
+        self._degrade: Dict[int, float] = {n.index: 1.0 for n in topo.nodes}
         self.nic_tx = [
             _NicPipe(sim, self, n.index, name=f"nic.tx{n.index}")
             for n in topo.nodes
@@ -113,25 +116,29 @@ class Fabric:
         self.injector = injector
 
     def degrade_factor(self, node_index: int) -> float:
-        """Current NIC bandwidth multiplier for ``node_index`` (1.0 = healthy)."""
-        if self.injector is None:
-            return 1.0
-        return self.injector.degrade_factor(node_index)
+        """NIC bandwidth multiplier applied to ``node_index`` (1.0 = healthy)."""
+        return self._degrade[node_index]
 
     def reprice_node(self, node_index: int) -> None:
-        """Re-evaluate a node's NIC rates (called at degradation edges).
+        """Apply the injector's current factor to a node's NIC pipes.
 
-        Progress made so far is drained at the old rate before the new
-        rate takes effect for the remainder of in-flight transfers.
+        Called at each degradation edge.  In-flight transfers first drain
+        the interval since their last update at the factor applied so
+        far; the new factor then prices what remains of them.
         """
-        for pipe in (self.nic_tx[node_index], self.nic_rx[node_index]):
+        pipes = (self.nic_tx[node_index], self.nic_rx[node_index])
+        for pipe in pipes:
             pipe._advance()
+        factor = self.injector.degrade_factor(node_index)
+        self._degrade[node_index] = factor
+        for pipe in pipes:
+            pipe._invalidate_rate()
             pipe._reschedule()
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.instant(
                 node_track(node_index), "nic repriced", names.CAT_FAULT,
-                args={"factor": self.degrade_factor(node_index)},
+                args={"factor": factor},
             )
 
     def _message_fate(self, src: Endpoint, dst: Endpoint) -> str:
@@ -187,7 +194,9 @@ class Fabric:
         """Adjust a connection's in-flight count, repricing its node's NICs.
 
         Pipes are advanced *before* the count change (progress so far was
-        made at the old efficiency) and rescheduled after it.
+        made at the old efficiency) and rescheduled after it.  Only a
+        change in the node's active-connection count moves the NIC rate,
+        so only then are the pipes' cached rates invalidated.
         """
         node = conn.key[0]
         pipes = (self.nic_tx[node], self.nic_rx[node])
@@ -200,6 +209,8 @@ class Fabric:
         now_active = conn.active > 0
         if was_active != now_active:
             self._active_conns[node] += 1 if now_active else -1
+            for pipe in pipes:
+                pipe._invalidate_rate()
         for pipe in pipes:
             pipe._reschedule()
 
@@ -233,11 +244,6 @@ class Fabric:
         peer→initiator (the peer's tx pipe, the initiator's rx pipe, the
         peer→initiator comm-matrix cell), and across nodes it pays the
         wire latency twice, request then response, before data arrives.
-
-        This generator and :meth:`_wire_leg` keep few locals on purpose:
-        the simulator holds every process it spawned, finished
-        generators (and their frames) included, for the whole run, so
-        each local costs one word per message sent.
         """
         if nbytes < 0:
             raise NetworkError(f"negative message size: {nbytes}")

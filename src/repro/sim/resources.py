@@ -194,6 +194,10 @@ class SharedBandwidth:
         self._tol_cap = _EPSILON_BYTES
         self._last_update = sim.now
         self._timer_generation = 0
+        #: The per-stream rate for ``_rate_n`` in-flight transfers; -1
+        #: marks it stale (see :meth:`_invalidate_rate`).
+        self._rate_n = -1
+        self._stream_rate = 0.0
         # FIFO mode state.
         self._fifo_queue: Deque[_Transfer] = collections.deque()
         self._fifo_busy = False
@@ -246,18 +250,32 @@ class SharedBandwidth:
 
         Subclasses override this for occupancy-dependent throughput, e.g.
         an SMT core whose two hardware threads together exceed the
-        single-thread rate but each run slower than alone.
+        single-thread rate but each run slower than alone.  The result is
+        cached per ``n``: when an override also reads outside state, each
+        change to that state must call :meth:`_invalidate_rate`.
         """
         return self.rate
 
     def _current_stream_rate(self) -> float:
         n = len(self._active)
+        if n == self._rate_n:
+            return self._stream_rate
         if n == 0:
             return self.rate
         rate = self._aggregate_rate(n) / n
         if self.per_stream_rate is not None:
             rate = min(rate, self.per_stream_rate)
+        self._rate_n = n
+        self._stream_rate = rate
         return rate
+
+    def _invalidate_rate(self) -> None:
+        """Forget the cached stream rate: ``_aggregate_rate`` changed.
+
+        Call it between :meth:`_advance`, which drains at the old rate,
+        and :meth:`_reschedule`, which prices the rest at the new one.
+        """
+        self._rate_n = -1
 
     def _advance(self) -> None:
         """Drain progress made since ``_last_update`` from every transfer."""

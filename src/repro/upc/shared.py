@@ -14,15 +14,19 @@ Two backings:
 * ``"virtual"`` — metadata only; reads return zeros and writes are
   dropped.  Timing behaviour is identical, which is what lets the
   harness run paper-scale problems (FT class B) without 0.5 GB arrays.
+
+NumPy is imported inside the methods that use it, never at module
+import, so a run that allocates no shared array does not load it.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Generator, Iterable, Optional
 
 from repro.errors import UpcError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SharedArray"]
 
@@ -38,6 +42,8 @@ class SharedArray:
         blocksize: Optional[object] = None,
         backing: str = "real",
     ):
+        import numpy as np
+
         if nelems < 1:
             raise UpcError(f"nelems must be >= 1, got {nelems}")
         if backing not in ("real", "virtual"):
@@ -83,6 +89,8 @@ class SharedArray:
 
     def local_indices(self, thread: int) -> np.ndarray:
         """Global indices of elements with affinity to ``thread``."""
+        import numpy as np
+
         idx = np.arange(self.nelems)
         return idx[(idx // self.blocksize) % self.threads == thread]
 
@@ -195,6 +203,8 @@ class SharedArray:
         was silently reinterpreted as a count, which hid genuine
         data-vs-count call-site bugs.
         """
+        import numpy as np
+
         if self._data is not None:
             if data is None:
                 raise UpcError("put_block on a real-backed array needs data")

@@ -1,11 +1,15 @@
 """Property-based invariants across the stack (hypothesis)."""
 
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.faults import FaultInjector, FaultPlan, LinkDegradation
+from repro.machine import MachineSpec, MachineTopology, NodeSpec
+from repro.network import Fabric, NetworkParams
 from repro.sim import SharedBandwidth, SimBarrier, Simulator
 from repro.upc import UpcProgram, collectives
 from repro.machine.presets import generic_smp
@@ -81,6 +85,9 @@ class _LinearScanPipe:
 
     def _aggregate_rate(self, n):
         return self.rate
+
+    def _invalidate_rate(self):
+        pass  # no cache: the rate is recomputed on every use
 
     def _stream_rate(self):
         n = len(self._active)
@@ -207,6 +214,7 @@ class TestSortedMatchesLinearScan:
                 yield sim.delay(start)
                 pipe._advance()  # what Fabric.reprice_node does
                 pipe.factor = factor
+                pipe._invalidate_rate()
                 pipe._reschedule()
 
             for i, (start, nbytes) in enumerate(arrivals):
@@ -297,3 +305,86 @@ class TestCollectiveProperties:
 
         res = prog.run(main)
         assert res.returns == [("gold", r)] * nthreads
+
+
+def _uncached_stream_rate(pipe):
+    """``SharedBandwidth._current_stream_rate`` recomputed on every call."""
+    n = len(pipe._active)
+    if n == 0:
+        return pipe.rate
+    rate = pipe._aggregate_rate(n) / n
+    if pipe.per_stream_rate is not None:
+        rate = min(rate, pipe.per_stream_rate)
+    return rate
+
+
+class TestNicRateCache:
+    @given(
+        messages=st.lists(
+            st.tuples(st.integers(0, 5), st.integers(1, 5), _times, _sizes),
+            min_size=1, max_size=12,
+        ),
+        windows=st.lists(
+            st.tuples(st.integers(0, 2), _times,
+                      st.floats(min_value=1e-7, max_value=2.0),
+                      st.floats(min_value=0.1, max_value=0.9)),
+            max_size=3,
+        ),
+        shared=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_cached_rate_matches_formula_after_every_event(
+        self, messages, windows, shared
+    ):
+        """Under connection churn and degradation windows, every NIC
+        pipe's cached stream rate equals the uncached formula after each
+        event, and completions match a run without the cache."""
+        plan = FaultPlan(degradations=tuple(
+            LinkDegradation(node=node, start=start, end=start + length,
+                            factor=factor)
+            for node, start, length, factor in windows
+        ))
+        edges = {t for w in plan.degradations for t in (w.start, w.end)}
+
+        def simulate(check):
+            sim = Simulator()
+            topo = MachineTopology(
+                MachineSpec(name="t", nodes=3, node=NodeSpec(1, 2, 1)))
+            fab = Fabric(sim, topo, NetworkParams(
+                latency=1e-6, send_overhead=0.0, recv_overhead=0.0, gap=0.0,
+                connection_bw=1e9, nic_bw=2e9, loopback_bw=4e9,
+                loopback_latency=0.5e-6, qp_knee=1, qp_penalty=0.25,
+            ))
+            for ep in range(6):  # two endpoints per node
+                fab.register_endpoint(ep, ep // 2, "proc" if shared else None)
+            inj = FaultInjector(sim, plan, stats=fab.stats)
+            inj.attach(fab)
+            done = []
+
+            def send(i, src, hop, start, nbytes):
+                yield sim.delay(start)
+                yield from fab.transmit(src, (src + hop) % 6, nbytes)
+                done.append((i, sim.now))
+
+            for i, (src, hop, start, nbytes) in enumerate(messages):
+                sim.spawn(send(i, src, hop, start, nbytes))
+            while sim.step():
+                if not check:
+                    continue
+                for node in range(3):
+                    if sim.now not in edges:
+                        assert fab.degrade_factor(node) == \
+                            inj.degrade_factor(node)
+                    for pipe in (fab.nic_tx[node], fab.nic_rx[node]):
+                        if pipe._rate_n == len(pipe._active):
+                            assert pipe._stream_rate == \
+                                _uncached_stream_rate(pipe)
+            sim.raise_failures()
+            return done
+
+        done = simulate(check=True)
+        with mock.patch.object(SharedBandwidth, "_current_stream_rate",
+                               _uncached_stream_rate):
+            reference = simulate(check=False)
+        assert len(done) == len(messages)
+        assert done == reference

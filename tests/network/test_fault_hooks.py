@@ -31,8 +31,8 @@ def make_fabric(sim, nodes=2, **params):
     return Fabric(sim, topo, NetworkParams(**defaults))
 
 
-def faulty_fabric(sim, plan, nodes=2):
-    fab = make_fabric(sim, nodes=nodes)
+def faulty_fabric(sim, plan, nodes=2, **params):
+    fab = make_fabric(sim, nodes=nodes, **params)
     fab.register_endpoint(0, 0)
     fab.register_endpoint(1, 1)
     inj = FaultInjector(sim, plan, stats=fab.stats)
@@ -194,3 +194,18 @@ class TestDegradationRepricing:
         fully_degraded = run_with(end=1.0)
         partially = run_with(end=fully_degraded / 2)
         assert partially < fully_degraded
+
+    def test_each_interval_drains_at_its_own_factor(self):
+        # 1 GB through a 2 GB/s NIC halved over [0.1, 0.3): 0.2 GB before
+        # the window, 0.2 GB inside it and the last 0.6 GB after it, so
+        # delivery ends at 0.6 s.  Pricing each stretch at the factor
+        # that follows it would end at 0.55 s.
+        sim = Simulator()
+        plan = FaultPlan(degradations=(
+            LinkDegradation(node=0, start=0.1, end=0.3, factor=0.5),
+        ))
+        fab, _inj = faulty_fabric(sim, plan, latency=0.0,
+                                  connection_bw=1000 * GB)
+        elapsed = self._timed_transmit(sim, fab, nbytes=1 * GB)
+        assert elapsed == pytest.approx(0.6, rel=1e-12)
+        assert fab.degrade_factor(0) == 1.0
