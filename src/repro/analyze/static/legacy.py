@@ -2,7 +2,7 @@
 
 * PGAS001 — simulated code must not read wall clocks (``time.time()``,
   ``datetime.now()``...); use ``upc.wtime()`` / ``sim.now``.  The
-  harness and the host profiler time real execution and are exempt.
+  harness and the host sampler time real execution and are exempt.
 * PGAS002 — a bare call to a costed generator (``arr.read_elem(upc, i)``)
   drops the generator: the access silently never happens.
 * PGAS003 — metric names passed to a ``*stats``/``*profiler`` emitter
@@ -41,8 +41,8 @@ _COSTED_GENERATORS = {
 _STATS_EMITTERS = {"count", "add", "record"}
 
 #: path suffixes (posix) where the wall clock is legitimate: the harness
-#: measures wall time by design, and the host profiler's whole job is to
-#: read ``perf_counter_ns`` around simulated code.
+#: measures wall time by design, and the host sampler's whole job is to
+#: read ``process_time`` around simulated code.
 _WALLCLOCK_ALLOWED = ("repro/harness/", "repro/obs/profile/host.py")
 
 #: path suffixes allowed to touch SharedArray._data

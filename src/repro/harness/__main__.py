@@ -97,8 +97,8 @@ def main(argv=None) -> int:
                              "under DIR, content-addressed by campaign "
                              "fingerprint (see python -m repro.obs.analytics)")
     parser.add_argument("--profile", metavar="DIR", dest="profile_dir",
-                        help="profile every campaign point (host wall-clock "
-                             "+ simulated cost) and write merged "
+                        help="profile every campaign point (sampled host "
+                             "CPU + simulated cost, per layer) and write merged "
                              "<id>-{host,cost}.{json,folded} artifacts under "
                              "DIR (see python -m repro.obs.profile); leaves "
                              "the rendered report byte-identical")

@@ -50,7 +50,7 @@ __all__ = [
     "STATIC_FILES", "STATIC_FUNCTIONS", "STATIC_FINDINGS",
     "STATIC_SUPPRESSED", "STATIC_BASELINED", "STATIC_METRICS",
     # profiler (repro.obs.profile)
-    "PROF_HOST_CALLS", "PROF_HOST_WALL_US",
+    "PROF_HOST_SAMPLES", "PROF_HOST_SELF_S",
     "PROF_COST_EVENTS", "PROF_COST_CYCLES", "PROF_COST_SWITCHES",
     "PROF_HOST_METRICS", "PROF_COST_METRICS",
     # registry
@@ -191,21 +191,21 @@ STATIC_METRICS = (
 
 # -- profiler (repro.obs.profile) -----------------------------------------
 #
-# The host wall-clock profiler weighs folded stacks by Python call counts
-# (a pure function of the simulation, so site *rankings* reproduce across
-# runs) and carries raw wall microseconds alongside; the simulated-cost
-# profiler attributes the engine's costed cycles and context switches to
-# curated sites and is byte-deterministic end to end.
+# Both modes charge work to the layers of repro.obs.profile.layers.  The
+# host sampler counts SIGPROF samples per layer and derives each layer's
+# self seconds from its share of the samples (statistical: counts differ
+# between runs); the simulated-cost profiler attributes the engine's
+# costed cycles and context switches and is byte-deterministic end to end.
 
-PROF_HOST_CALLS = "profile.host.calls"
-PROF_HOST_WALL_US = "profile.host.wall_us"
+PROF_HOST_SAMPLES = "profile.host.samples"
+PROF_HOST_SELF_S = "profile.host.self_s"
 PROF_COST_EVENTS = "profile.cost.events"
 PROF_COST_CYCLES = "profile.cost.cycles"
 PROF_COST_SWITCHES = "profile.cost.switches"
 
-#: Weight fields carried by every host-profile stack/site row.
-PROF_HOST_METRICS = (PROF_HOST_CALLS, PROF_HOST_WALL_US)
-#: Weight fields carried by every cost-profile site row.
+#: Weight fields carried by every host-profile layer row.
+PROF_HOST_METRICS = (PROF_HOST_SAMPLES, PROF_HOST_SELF_S)
+#: Weight fields carried by every cost-profile (phase, layer) row.
 PROF_COST_METRICS = (PROF_COST_EVENTS, PROF_COST_CYCLES, PROF_COST_SWITCHES)
 
 # -- registry -------------------------------------------------------------
@@ -258,11 +258,11 @@ REGISTRY = {
     STATIC_FINDINGS: ("count", "static analyzer: findings after noqa"),
     STATIC_SUPPRESSED: ("count", "static analyzer: findings suppressed by noqa"),
     STATIC_BASELINED: ("count", "static analyzer: findings matched by the baseline"),
-    PROF_HOST_CALLS: ("count", "profiler: Python calls attributed to a site path"),
-    PROF_HOST_WALL_US: ("sum", "profiler: wall microseconds at a site path"),
-    PROF_COST_EVENTS: ("count", "profiler: engine events scheduled by a site"),
-    PROF_COST_CYCLES: ("count", "profiler: costed cycles charged by a site"),
-    PROF_COST_SWITCHES: ("count", "profiler: context switches into a site"),
+    PROF_HOST_SAMPLES: ("count", "profiler: host CPU samples owned by a layer"),
+    PROF_HOST_SELF_S: ("sum", "profiler: host CPU seconds owned by a layer"),
+    PROF_COST_EVENTS: ("count", "profiler: engine events scheduled by a layer"),
+    PROF_COST_CYCLES: ("count", "profiler: costed cycles charged by a layer"),
+    PROF_COST_SWITCHES: ("count", "profiler: context switches into a layer"),
 }
 
 

@@ -4,9 +4,9 @@ Two subcommands over ``*-host.json`` / ``*-cost.json`` documents:
 
 * ``validate PATH...`` — schema-check each document (exit 2 on any
   problem); this is what CI's profile-smoke job runs.
-* ``top PATH [-n N]`` — print the document's ranked sites (calls for
-  host profiles, costed cycles for cost profiles).  Because the ranking
-  weight is deterministic, ``top`` output is diffable across runs.
+* ``top PATH [-n N]`` — print the document's ranked layers (samples for
+  host profiles, costed cycles for cost profiles).  Cost rankings are
+  deterministic and diffable across runs; host rankings are sampled.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             for problem in problems:
                 print(f"{path}: {problem}")
         else:
-            print(f"{path}: ok ({doc['mode']}, {len(doc.get('top', []))} sites)")
+            print(f"{path}: ok ({doc['mode']}, {len(doc.get('top', []))} layers)")
     return 2 if bad else 0
 
 
@@ -51,10 +51,10 @@ def _cmd_top(args: argparse.Namespace) -> int:
         for problem in problems:
             print(f"{args.path}: {problem}", file=sys.stderr)
         return 2
-    weight = "calls" if doc["mode"] == "host" else "cycles"
+    weight = "samples" if doc["mode"] == "host" else "cycles"
     print(f"# {doc['label']} [{doc['mode']}] runs={doc['runs']} weight={weight}")
-    for rank, (site, value) in enumerate(doc["top"][:args.n], start=1):
-        print(f"{rank:3d}  {site:<24s} {value}")
+    for rank, (layer, value) in enumerate(doc["top"][:args.n], start=1):
+        print(f"{rank:3d}  {layer:<24s} {value}")
     return 0
 
 
@@ -68,7 +68,7 @@ def main(argv=None) -> int:
     p_validate.add_argument("paths", nargs="+", help="profile .json files")
     p_validate.set_defaults(fn=_cmd_validate)
 
-    p_top = sub.add_parser("top", help="print a profile's ranked sites")
+    p_top = sub.add_parser("top", help="print a profile's ranked layers")
     p_top.add_argument("path", help="one profile .json file")
     p_top.add_argument("-n", type=int, default=10, help="rows to print (default 10)")
     p_top.set_defaults(fn=_cmd_top)

@@ -1,99 +1,73 @@
-"""Host wall-clock profiler: deterministic-ranking folded site stacks.
+"""Host CPU sampler: where this process's CPU time went, by layer.
 
-Wraps a region of host execution in a ``sys.setprofile`` hook and
-attributes both **Python call counts** and **wall nanoseconds** to paths
-of curated sites (:mod:`repro.obs.profile.sites`).  Two design choices
-make the output usable as a cross-revision artifact:
+A 1 ms ``ITIMER_PROF`` timer delivers ``SIGPROF`` while the process
+burns CPU; each delivery charges one sample to the layer that owns the
+interrupted stack (:func:`repro.obs.profile.layers.owner`).  Sampling
+costs a few percent of the run, where a per-call hook costs an order of
+magnitude, and it sees C time as well as Python time.
 
-* **Sites, not frames.**  Consecutive frames resolving to the same site
-  collapse into one path element, and transparent frames (stdlib,
-  third-party, import machinery) never open a path element of their own
-  — their time accrues to the innermost enclosing site.  A profile
-  therefore has tens of rows, not tens of thousands, and survives
-  refactors that rename functions within a layer.
-* **Deterministic ranking.**  Call counts are a pure function of the
-  simulation (the event loop fixes execution order), so ranking sites by
-  calls reproduces across runs on any host; wall times ride along as the
-  human-facing magnitude and are *expected* to jitter.  The folded
-  export weighs stacks by calls for exactly this reason.
+The kernel fires the timer on its own tick, not every millisecond (about
+250 samples per CPU second on a 250 Hz kernel), so samples are not a
+unit of time.  A layer's self time is its share of the samples times the
+``time.process_time()`` the sampler ran for.  Counts are statistical:
+two runs of one program rank the big layers alike, not byte for byte.
 
-This module is the one place outside ``repro/harness`` allowed to read
-the wall clock (PGAS001 exemption): measuring host time is its job.
+Signals are delivered to the main thread, so the sampler sees the main
+thread's stack; start it from the main thread.  This module is the one
+place outside ``repro/harness`` allowed to read a host clock (PGAS001
+exemption): measuring host time is its job.
 """
 
 from __future__ import annotations
 
-import sys
+import signal
 import time
-from typing import Dict, List, Tuple
+from collections import Counter
+from typing import Any, List
 
-from repro.obs.profile.sites import site_for_code
+from repro.obs.profile.layers import file_layer, owner
 
-__all__ = ["HostProfiler"]
+__all__ = ["HostSampler", "SAMPLE_INTERVAL_S"]
+
+#: Sampling period of the ``ITIMER_PROF`` timer, in CPU seconds.
+SAMPLE_INTERVAL_S = 0.001
 
 
-class HostProfiler:
-    """A start/stop wall-clock profiler over curated site paths."""
+def _frame_layers(frame):
+    while frame is not None:
+        yield file_layer(frame.f_code.co_filename)
+        frame = frame.f_back
+
+
+class HostSampler:
+    """A start/stop SIGPROF sampler: CPU samples per layer."""
 
     def __init__(self) -> None:
-        #: site path -> [python calls, wall nanoseconds]
-        self.stats: Dict[Tuple[str, ...], List[int]] = {}
-        self._path: List[str] = []
-        self._pushed: List[bool] = []
-        self._last_ns = 0
-        self._active = False
+        #: layer -> samples
+        self.counts: Counter = Counter()
+        #: CPU seconds this process spent while the sampler ran
+        self.cpu_s = 0.0
+        self._previous = None
+        self._cpu0 = 0.0
 
-    # -- the profile hook --------------------------------------------------
-
-    def _accrue(self, now_ns: int) -> None:
-        path = tuple(self._path)
-        cell = self.stats.get(path)
-        if cell is None:
-            cell = self.stats[path] = [0, 0]
-        cell[1] += now_ns - self._last_ns
-        self._last_ns = now_ns
-
-    def _hook(self, frame, event, arg) -> None:
-        if event == "call":
-            self._accrue(time.perf_counter_ns())
-            site = site_for_code(frame.f_code)
-            path = self._path
-            if site is None:
-                self._pushed.append(False)
-                return
-            if not path or path[-1] != site:
-                path.append(site)
-                self._pushed.append(True)
-            else:
-                self._pushed.append(False)
-            key = tuple(path)
-            cell = self.stats.get(key)
-            if cell is None:
-                cell = self.stats[key] = [0, 0]
-            cell[0] += 1
-        elif event == "return":
-            self._accrue(time.perf_counter_ns())
-            if self._pushed and self._pushed.pop():
-                self._path.pop()
-        # c_call/c_return/c_exception: C time accrues to the current
-        # path automatically at the next Python-level event.
-
-    # -- lifecycle ---------------------------------------------------------
+    def _on_sample(self, signum, frame) -> None:
+        self.counts[owner(_frame_layers(frame))] += 1
 
     def start(self) -> None:
-        if self._active:
-            raise RuntimeError("host profiler already started")
-        self._active = True
-        self._last_ns = time.perf_counter_ns()
-        sys.setprofile(self._hook)
+        self._previous = signal.signal(signal.SIGPROF, self._on_sample)
+        self._cpu0 = time.process_time()
+        signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S,
+                         SAMPLE_INTERVAL_S)
 
     def stop(self) -> None:
-        if not self._active:
-            return
-        sys.setprofile(None)
-        self._accrue(time.perf_counter_ns())
-        self._active = False
-        # Frames entered while profiling were popped by their returns or
-        # will never return to us; clear the bookkeeping either way.
-        self._path.clear()
-        self._pushed.clear()
+        signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+        self.cpu_s += time.process_time() - self._cpu0
+        # signal.signal runs a pending handler before it swaps handlers,
+        # so a sample of the disarmed timer never reaches the previous one.
+        signal.signal(signal.SIGPROF, self._previous)
+
+    def rows(self) -> List[List[Any]]:
+        """``[layer, samples, self_s]`` per sampled layer, sorted by layer."""
+        total = sum(self.counts.values())
+        return [[layer, samples, self.cpu_s * samples / total]
+                for layer, samples in sorted(self.counts.items())]

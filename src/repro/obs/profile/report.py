@@ -4,24 +4,24 @@ One profiled run yields per-point **snapshots** (plain JSON-able lists,
 picklable across executor workers); this module merges them and renders
 the two artifact pairs the subsystem promises:
 
-* ``<label>-host.json`` / ``<label>-host.folded`` — wall-clock profile.
-  Folded lines are weighted by **Python calls**, the deterministic
-  weight, so ``flamegraph.pl`` output and top-site rankings reproduce
-  across runs; wall microseconds ride along inside the JSON.
+* ``<label>-host.json`` / ``<label>-host.folded`` — sampled host CPU per
+  layer.  Rows carry the sample count and the self seconds derived from
+  it; folded lines are one-frame ``layer samples`` stacks.  Statistical:
+  the big layers rank alike across runs, the counts differ.
 * ``<label>-cost.json`` / ``<label>-cost.folded`` — simulated-cost
   profile.  Entirely a function of the simulation: byte-identical
   across runs, executors and job counts.  Folded lines carry three
   synthetic roots (``events``, ``cycles``, ``switches``) over
-  ``<phase>;<site>`` stacks.
+  ``<phase>;<layer>`` stacks.
 
 JSON documents are canonical (:func:`canonical_dumps`: sorted keys,
 compact separators, trailing newline) and self-describing::
 
-    {"schema": 1, "mode": "host"|"cost", "label": ..., "runs": N,
-     "stacks"|"phases": [...], "top": [[site, weight], ...]}
+    {"schema": 2, "mode": "host"|"cost", "label": ..., "runs": N,
+     "layers"|"phases": [...], "top": [[layer, weight], ...]}
 
 Row metric keys are the registered :mod:`repro.obs.names` ``PROF_*``
-names, and every site must appear in ``KNOWN_SITES`` —
+names, and every layer must appear in ``LAYERS`` —
 :func:`validate_profile` enforces both.
 """
 
@@ -32,7 +32,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.obs import names
 from repro.obs.analytics.summary import canonical_dumps
-from repro.obs.profile.sites import KNOWN_SITES, SITE_OTHER
+from repro.obs.profile.layers import LAYERS
 
 __all__ = [
     "PROFILE_SCHEMA",
@@ -44,35 +44,31 @@ __all__ = [
     "write_profiles",
 ]
 
-PROFILE_SCHEMA = 1
-
-#: Weight used for ranking/folded export, per mode: the deterministic one.
-_RANK_KEY = {"host": names.PROF_HOST_CALLS, "cost": names.PROF_COST_CYCLES}
+PROFILE_SCHEMA = 2
 
 
 def merge_snapshots(
     snapshots: Iterable[Optional[Dict[str, Any]]],
-) -> Tuple[Dict[Tuple[str, ...], List[int]], Dict[Tuple[str, str], List[int]], int]:
-    """Sum per-point snapshots; returns (host stats, cost tallies, runs).
+) -> Tuple[Dict[str, List[Any]], Dict[Tuple[str, str], List[int]], int]:
+    """Sum per-point snapshots; returns (host layers, cost tallies, runs).
 
     ``None`` entries (quarantined/failed points) are skipped so a
     degraded campaign's profile covers exactly the healthy remainder.
     """
-    host: Dict[Tuple[str, ...], List[int]] = {}
+    host: Dict[str, List[Any]] = {}
     cost: Dict[Tuple[str, str], List[int]] = {}
     runs = 0
     for snap in snapshots:
         if snap is None:
             continue
         runs += 1
-        for row in snap.get("host", ()):
-            path, calls, wall_ns = tuple(row[0]), row[1], row[2]
-            cell = host.setdefault(path, [0, 0])
-            cell[0] += calls
-            cell[1] += wall_ns
+        for layer, samples, self_s in snap.get("host", ()):
+            cell = host.setdefault(layer, [0, 0.0])
+            cell[0] += samples
+            cell[1] += self_s
         for row in snap.get("cost", ()):
-            phase, site = row[0], row[1]
-            cell = cost.setdefault((phase, site), [0, 0, 0])
+            phase, layer = row[0], row[1]
+            cell = cost.setdefault((phase, layer), [0, 0, 0])
             cell[0] += row[2]
             cell[1] += row[3]
             cell[2] += row[4]
@@ -81,31 +77,26 @@ def merge_snapshots(
 
 def _top(weights: Dict[str, int]) -> List[List[Any]]:
     ranked = sorted(weights.items(), key=lambda kv: (-kv[1], kv[0]))
-    return [[site, weight] for site, weight in ranked]
+    return [[layer, weight] for layer, weight in ranked]
 
 
 def host_document(label: str,
-                  stats: Dict[Tuple[str, ...], List[int]],
+                  stats: Dict[str, List[Any]],
                   runs: int = 1) -> Dict[str, Any]:
-    """Canonical host-profile document from HostProfiler stats."""
-    rows = []
-    by_site: Dict[str, int] = {}
-    for path, (calls, wall_ns) in sorted(stats.items()):
-        stack = list(path) if path else [SITE_OTHER]
-        rows.append({
-            "stack": stack,
-            names.PROF_HOST_CALLS: calls,
-            names.PROF_HOST_WALL_US: wall_ns // 1000,
-        })
-        leaf = stack[-1]
-        by_site[leaf] = by_site.get(leaf, 0) + calls
+    """Canonical host-profile document from layer -> [samples, self_s]."""
+    rows = [{
+        "layer": layer,
+        names.PROF_HOST_SAMPLES: samples,
+        names.PROF_HOST_SELF_S: round(self_s, 6),
+    } for layer, (samples, self_s) in sorted(stats.items())]
     return {
         "schema": PROFILE_SCHEMA,
         "mode": "host",
         "label": label,
         "runs": runs,
-        "stacks": rows,
-        "top": _top(by_site),
+        "layers": rows,
+        "top": _top({layer: samples
+                     for layer, (samples, _) in stats.items()}),
     }
 
 
@@ -114,23 +105,23 @@ def cost_document(label: str,
                   runs: int = 1) -> Dict[str, Any]:
     """Canonical cost-profile document from CostProfiler tallies."""
     rows = []
-    by_site: Dict[str, int] = {}
-    for (phase, site), (events, cycles, switches) in sorted(tallies.items()):
+    by_layer: Dict[str, int] = {}
+    for (phase, layer), (events, cycles, switches) in sorted(tallies.items()):
         rows.append({
             "phase": phase,
-            "site": site,
+            "layer": layer,
             names.PROF_COST_EVENTS: events,
             names.PROF_COST_CYCLES: cycles,
             names.PROF_COST_SWITCHES: switches,
         })
-        by_site[site] = by_site.get(site, 0) + cycles
+        by_layer[layer] = by_layer.get(layer, 0) + cycles
     return {
         "schema": PROFILE_SCHEMA,
         "mode": "cost",
         "label": label,
         "runs": runs,
         "phases": rows,
-        "top": _top(by_site),
+        "top": _top(by_layer),
     }
 
 
@@ -138,13 +129,13 @@ def folded_lines(doc: Dict[str, Any]) -> List[str]:
     """Flamegraph-ready ``stack;frames weight`` lines, sorted."""
     lines: List[str] = []
     if doc["mode"] == "host":
-        for row in doc["stacks"]:
-            calls = row[names.PROF_HOST_CALLS]
-            if calls:
-                lines.append(";".join(row["stack"]) + f" {calls}")
+        for row in doc["layers"]:
+            samples = row[names.PROF_HOST_SAMPLES]
+            if samples:
+                lines.append(f"{row['layer']} {samples}")
     else:
         for row in doc["phases"]:
-            base = f"{row['phase']};{row['site']}"
+            base = f"{row['phase']};{row['layer']}"
             for root, key in (("events", names.PROF_COST_EVENTS),
                               ("cycles", names.PROF_COST_CYCLES),
                               ("switches", names.PROF_COST_SWITCHES)):
@@ -154,30 +145,19 @@ def folded_lines(doc: Dict[str, Any]) -> List[str]:
     return sorted(lines)
 
 
-def _check_rows(doc: Dict[str, Any], errors: List[str]) -> None:
-    if doc["mode"] == "host":
-        for i, row in enumerate(doc.get("stacks", [])):
-            stack = row.get("stack")
-            if not stack or not isinstance(stack, list):
-                errors.append(f"stacks[{i}]: missing or empty stack")
-                continue
-            for site in stack:
-                if site not in KNOWN_SITES:
-                    errors.append(f"stacks[{i}]: unknown site {site!r}")
-            for key in names.PROF_HOST_METRICS:
-                value = row.get(key)
-                if not isinstance(value, int) or value < 0:
-                    errors.append(f"stacks[{i}]: bad {key}: {value!r}")
-    else:
-        for i, row in enumerate(doc.get("phases", [])):
-            if not isinstance(row.get("phase"), str):
-                errors.append(f"phases[{i}]: missing phase")
-            if row.get("site") not in KNOWN_SITES:
-                errors.append(f"phases[{i}]: unknown site {row.get('site')!r}")
-            for key in names.PROF_COST_METRICS:
-                value = row.get(key)
-                if not isinstance(value, int) or value < 0:
-                    errors.append(f"phases[{i}]: bad {key}: {value!r}")
+def _check_rows(rows_key: str, rows: List[Any], metrics: Sequence[str],
+                errors: List[str]) -> None:
+    for i, row in enumerate(rows):
+        where = f"{rows_key}[{i}]"
+        if rows_key == "phases" and not isinstance(row.get("phase"), str):
+            errors.append(f"{where}: missing phase")
+        if row.get("layer") not in LAYERS:
+            errors.append(f"{where}: unknown layer {row.get('layer')!r}")
+        for key in metrics:
+            value = row.get(key)
+            kinds = (int, float) if key == names.PROF_HOST_SELF_S else int
+            if not isinstance(value, kinds) or value < 0:
+                errors.append(f"{where}: bad {key}: {value!r}")
 
 
 def validate_profile(doc: Any) -> List[str]:
@@ -196,18 +176,19 @@ def validate_profile(doc: Any) -> List[str]:
     runs = doc.get("runs")
     if not isinstance(runs, int) or runs < 0:
         errors.append(f"runs: bad value {runs!r}")
-    rows_key = "stacks" if mode == "host" else "phases"
+    rows_key, metrics = (("layers", names.PROF_HOST_METRICS) if mode == "host"
+                         else ("phases", names.PROF_COST_METRICS))
     if not isinstance(doc.get(rows_key), list):
         errors.append(f"{rows_key}: missing or not a list")
         return errors
-    _check_rows(doc, errors)
+    _check_rows(rows_key, doc[rows_key], metrics, errors)
     top = doc.get("top")
     if not isinstance(top, list):
         errors.append("top: missing or not a list")
     else:
         for i, entry in enumerate(top):
             if (not isinstance(entry, list) or len(entry) != 2
-                    or entry[0] not in KNOWN_SITES
+                    or entry[0] not in LAYERS
                     or not isinstance(entry[1], int)):
                 errors.append(f"top[{i}]: bad entry {entry!r}")
     return errors

@@ -13,9 +13,9 @@ which attaches to the program's simulator:
   per UPC program (MPI programs stay unsanitized);
 * ``profile`` — the session's one shared
   :class:`~repro.obs.profile.cost.CostProfiler`, while the session's
-  :class:`~repro.obs.profile.host.HostProfiler` covers the whole body
-  (``sys.setprofile`` is process-global, so one wall-clock profile per
-  session is the honest granularity).
+  :class:`~repro.obs.profile.host.HostSampler` samples the whole body
+  (``SIGPROF`` is process-wide, so one host profile per session is the
+  honest granularity).
 
 One session can therefore span many simulated runs (a harness
 experiment like ``f4_2`` constructs ~30 programs); each run becomes its
@@ -46,15 +46,15 @@ class InstrumentSession:
         self.sanitize = sanitize
         self.tracers: List[Tracer] = []
         self.sanitizers: List[Any] = []
-        #: the shared cost profiler and the host profiler (None unless
+        #: the shared cost profiler and the host sampler (None unless
         #: ``profile``)
         self.cost = self.host = None
         if profile:
             from repro.obs.profile.cost import CostProfiler
-            from repro.obs.profile.host import HostProfiler
+            from repro.obs.profile.host import HostSampler
 
             self.cost = CostProfiler()
-            self.host = HostProfiler()
+            self.host = HostSampler()
 
     @property
     def findings(self) -> List[Any]:
@@ -68,13 +68,10 @@ class InstrumentSession:
         :func:`repro.obs.profile.report.merge_snapshots` re-aggregates.
         """
         return {
-            "host": [
-                [list(path), calls, wall_ns]
-                for path, (calls, wall_ns) in sorted(self.host.stats.items())
-            ],
+            "host": self.host.rows(),
             "cost": [
-                [phase, site, events, cycles, switches]
-                for (phase, site), (events, cycles, switches)
+                [phase, layer, events, cycles, switches]
+                for (phase, layer), (events, cycles, switches)
                 in sorted(self.cost.tallies.items())
             ],
         }
@@ -117,19 +114,21 @@ def instrument(label: str, *, trace: bool = False, sanitize: bool = False,
 
     Sessions do not nest: two sessions silently splitting a run's
     tracers or findings would be a debugging trap, and a second host
-    profiler would steal the first one's ``sys.setprofile`` hook.
+    sampler would steal the first one's ``SIGPROF`` handler.  The host
+    sampler runs for the body and is disarmed on the way out, also when
+    the body raises, with the previous ``SIGPROF`` handler restored.
     """
     global _ACTIVE
     if _ACTIVE is not None:
         raise RuntimeError("an instrumentation session is already active")
     session = InstrumentSession(label, trace=trace, sanitize=sanitize,
                                 profile=profile)
-    _ACTIVE = session
     if session.host is not None:
         session.host.start()
+    _ACTIVE = session
     try:
         yield session
     finally:
+        _ACTIVE = None
         if session.host is not None:
             session.host.stop()
-        _ACTIVE = None

@@ -30,8 +30,8 @@ class TestPGAS001Wallclock:
         assert codes(src, "src/repro/harness/runner.py") == []
 
     def test_host_profiler_exempt(self):
-        # the host profiler's whole job is reading the wall clock
-        src = "import time\nnow = time.perf_counter_ns()\n"
+        # the host sampler's whole job is reading a host clock
+        src = "import time\nnow = time.process_time()\n"
         assert codes(src, "src/repro/obs/profile/host.py") == []
         # ...but the rest of the profile package is not exempt
         assert codes(src, "src/repro/obs/profile/cost.py") == ["PGAS001"]
@@ -68,11 +68,11 @@ class TestPGAS003LiteralMetricName:
 
     def test_profiler_receiver_flagged(self):
         # repro.obs.profile emitters follow the same registered-name rule
-        assert codes("profiler.count('profile.host.calls')\n") == ["PGAS003"]
+        assert codes("profiler.count('profile.host.samples')\n") == ["PGAS003"]
         assert codes("self.cost_profiler.record('x', 1)\n") == ["PGAS003"]
 
     def test_profiler_constant_fine(self):
-        assert codes("profiler.count(names.PROF_HOST_CALLS)\n") == []
+        assert codes("profiler.count(names.PROF_HOST_SAMPLES)\n") == []
 
 
 class TestPGAS004PrivateData:

@@ -2,10 +2,10 @@
 
 The contracts under test mirror CI's profile-smoke job: ``--profile``
 writes both artifact pairs without touching the rendered report, cost
-profiles are byte-identical across executors, and a degraded (durable,
-chaos-quarantined) campaign excludes the poisoned point from both the
-campaign summary and the merged profiles while the healthy remainder
-stays byte-deterministic.
+profiles are byte-identical across executors, worker points ship their
+host samples back, and a degraded (durable, chaos-quarantined) campaign
+excludes the poisoned point from both the campaign summary and the
+merged profiles while the healthy remainder stays byte-deterministic.
 """
 
 import json
@@ -33,7 +33,9 @@ class TestArtifacts:
             doc = json.loads((out / name).read_text())
             assert validate_profile(doc) == []
             assert doc["runs"] == 4  # one snapshot per campaign point
-            assert doc["top"], "a real campaign must rank at least one site"
+        # host samples are statistical: see the jobs=2 test below
+        cost = json.loads((out / "t3_1-cost.json").read_text())
+        assert cost["top"], "a real campaign must rank at least one layer"
 
     def test_profiling_leaves_report_byte_identical(self, tmp_path):
         plain = run_experiment("t3_1", scale="quick", cache_dir=None)
@@ -47,13 +49,17 @@ class TestArtifacts:
         for name in ("t3_1-cost.json", "t3_1-cost.folded"):
             assert (inline / name).read_bytes() == (fanned / name).read_bytes()
 
-    def test_host_ranking_reproduces_across_runs(self, tmp_path):
-        _run(tmp_path, "warm")  # settle lazy imports
-        _, a = _run(tmp_path, "a")
-        _, b = _run(tmp_path, "b")
-        doc_a = json.loads((a / "t3_1-host.json").read_text())
-        doc_b = json.loads((b / "t3_1-host.json").read_text())
-        assert doc_a["top"] == doc_b["top"]
+    def test_host_samples_from_every_point_at_jobs2(self, tmp_path):
+        # t3_1's points burn a few ms of CPU, about one kernel tick, so
+        # one campaign can miss every SIGPROF; ten in a row do not
+        for attempt in range(10):
+            _, fanned = _run(tmp_path, f"fanned{attempt}", jobs=2)
+            doc = json.loads((fanned / "t3_1-host.json").read_text())
+            assert validate_profile(doc) == []
+            assert doc["runs"] == 4  # workers ship their samples back
+            if doc["top"]:
+                break
+        assert sum(weight for _, weight in doc["top"]) > 0
 
 
 class TestDegradedCampaign:

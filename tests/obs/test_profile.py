@@ -1,33 +1,40 @@
-"""The engine profiling subsystem: sites, both profilers, reports, CLI.
+"""The engine profiling subsystem: the layer map, both profilers, reports, CLI.
 
-The determinism contracts under test are the ones DESIGN.md §13 promises:
-host-profile *call counts* and cost-profile *tallies* are pure functions
-of the simulation, so identical programs yield identical rankings (host)
-and identical bytes (cost); wall nanoseconds are auxiliary and jitter.
+The contracts under test are the ones DESIGN.md §13 promises: every
+module of the package has a layer, the host sampler charges samples
+only to those layers and leaves the process's SIGPROF state as it found
+it, and cost-profile *tallies* are pure functions of the simulation, so
+identical programs yield identical bytes.
 """
 
 import json
+import signal
+import sys
+import time
+from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import names
 from repro.obs.analytics import canonical_dumps
 from repro.obs.profile import (
-    KNOWN_SITES,
+    HOST_IMPORT,
+    HOST_OTHER,
+    LAYERS,
     NO_PHASE,
     PROFILE_SCHEMA,
-    SITE_OTHER,
     CostProfiler,
+    HostSampler,
     cost_document,
     folded_lines,
     host_document,
     merge_snapshots,
-    site_for_callable,
-    site_for_code,
     validate_profile,
     write_profiles,
 )
 from repro.obs.profile.__main__ import main as profile_main
+from repro.obs.profile.layers import PACKAGE_DIR, file_layer
 from repro.obs.session import arm, instrument
 from repro.sim.engine import OFF, Simulator
 from repro.upc.runtime import UpcProgram
@@ -47,34 +54,24 @@ def _run_profiled(threads=4):
         return session.snapshot()
 
 
-class TestSites:
-    def test_engine_functions_split_by_name(self):
-        assert site_for_code(Simulator.schedule_at.__code__) == "engine.heap.push"
-        assert site_for_code(Simulator.run.__code__) == "engine.run"
+class TestLayers:
+    def test_every_repro_module_maps_to_a_named_layer(self):
+        modules = sorted(Path(PACKAGE_DIR).rglob("*.py"))
+        assert len(modules) > 100
+        for path in modules:
+            layer = file_layer(str(path))
+            assert layer in LAYERS, path
+            assert layer not in (HOST_IMPORT, HOST_OTHER), path
 
-    def test_layer_rules_match_path_fragments(self):
-        code = compile("pass", "/x/src/repro/gasnet/core.py", "exec")
-        assert site_for_code(code) == "gasnet"
-        code = compile("pass", "/x/src/repro/apps/randomaccess/bench.py", "exec")
-        assert site_for_code(code) == "app.gups"
-
-    def test_stdlib_and_synthetic_frames_transparent(self):
-        assert site_for_code(json.dumps.__code__) is None
-        assert site_for_code(compile("pass", "<string>", "exec")) is None
-
-    def test_callable_fallback_never_none(self):
-        assert site_for_callable(len) == SITE_OTHER
-        assert site_for_callable(json.dumps) == SITE_OTHER
-        sched = Simulator().schedule_at
-        assert site_for_callable(sched) == "engine.heap.push"
-
-    def test_every_resolvable_site_is_known(self):
-        assert SITE_OTHER in KNOWN_SITES
-        assert list(KNOWN_SITES) == sorted(set(KNOWN_SITES))
-
-    def test_resolution_is_cached_and_stable(self):
-        code = Simulator.schedule_at.__code__
-        assert site_for_code(code) is site_for_code(code)
+    def test_equal_code_objects_from_two_files_keep_their_layers(self):
+        inside = compile("pass", f"{PACKAGE_DIR}/gasnet/snippet.py", "exec")
+        outside = compile("pass", "/elsewhere/snippet.py", "exec")
+        assert inside == outside  # why code objects cannot be the key
+        prof = CostProfiler()
+        for code in (inside, outside):
+            prof.context_switch(SimpleNamespace(gen=SimpleNamespace(gi_code=code)))
+        assert prof.tallies[(NO_PHASE, "gasnet")] == [0, 0, 1]
+        assert prof.tallies[(NO_PHASE, HOST_OTHER)] == [0, 0, 1]
 
 
 class TestCostProfiler:
@@ -86,9 +83,9 @@ class TestCostProfiler:
         prof.phase_ended("warm")
         prof.event_scheduled(lambda: None, costed=False)
         # the test file is outside repro/, so attribution falls through
-        # the stack walk to the callback's own site: host.other
-        assert prof.tallies[("warm", SITE_OTHER)] == [1, 1, 0]
-        assert prof.tallies[(NO_PHASE, SITE_OTHER)] == [1, 0, 0]
+        # the stack walk to the callback's own layer: host.other
+        assert prof.tallies[("warm", HOST_OTHER)] == [1, 1, 0]
+        assert prof.tallies[(NO_PHASE, HOST_OTHER)] == [1, 0, 0]
 
     def test_interleaved_phase_ends_remove_matching_entry(self):
         prof = CostProfiler()
@@ -106,7 +103,7 @@ class TestCostProfiler:
             gen = _app(None)
 
         prof.context_switch(FakeProcess())
-        assert prof.tallies[(NO_PHASE, SITE_OTHER)] == [0, 0, 1]
+        assert prof.tallies[(NO_PHASE, HOST_OTHER)] == [0, 0, 1]
 
 
 class TestEndToEndDeterminism:
@@ -120,24 +117,40 @@ class TestEndToEndDeterminism:
     def test_cost_sites_and_phases_are_curated(self):
         snap = _run_profiled()
         phases = {row[0] for row in snap["cost"]}
-        sites = {row[1] for row in snap["cost"]}
+        layers = {row[1] for row in snap["cost"]}
         assert "work" in phases, "the app's phase timer must bucket work"
-        assert sites <= set(KNOWN_SITES)
-        assert "upc" in sites
+        assert layers <= set(LAYERS)
+        assert "upc" in layers
 
-    def test_host_call_counts_reproduce_across_runs(self):
-        _run_profiled()  # warmup
-        a = _run_profiled()
-        b = _run_profiled()
-        calls_a = [(tuple(row[0]), row[1]) for row in a["host"]]
-        calls_b = [(tuple(row[0]), row[1]) for row in b["host"]]
-        assert calls_a == calls_b
-        assert any(calls for _, calls in calls_a)
+    def test_host_samples_land_in_layers(self):
+        with instrument("test", profile=True) as session:
+            # a tick-driven timer needs a few ms of CPU per sample
+            deadline = time.process_time() + 10.0
+            while not session.host.counts and time.process_time() < deadline:
+                UpcProgram(threads=4).run(_app)
+        rows = session.snapshot()["host"]
+        assert rows, "a profiled run must take at least one sample"
+        for layer, samples, self_s in rows:
+            assert layer in LAYERS
+            assert samples > 0 and self_s >= 0
 
-    def test_host_paths_are_site_paths(self):
-        snap = _run_profiled()
-        for row in snap["host"]:
-            assert all(site in KNOWN_SITES for site in row[0])
+    def test_sampler_disarmed_and_handler_restored(self):
+        def installed(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGPROF, installed)
+        try:
+            with instrument("ok", profile=True):
+                assert signal.getitimer(signal.ITIMER_PROF) != (0.0, 0.0)
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is installed
+            with pytest.raises(ZeroDivisionError):
+                with instrument("raises", profile=True):
+                    1 / 0
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGPROF) is installed
+        finally:
+            signal.signal(signal.SIGPROF, previous)
 
 
 class TestSession:
@@ -168,31 +181,38 @@ class TestSession:
 
 
 class TestReport:
-    def _snap(self, phase="work", site="upc", events=3, cycles=2, switches=1,
-              host_path=("upc",), calls=10, wall_ns=5000):
-        return {"host": [[list(host_path), calls, wall_ns]],
-                "cost": [[phase, site, events, cycles, switches]]}
+    def _snap(self, phase="work", layer="upc", events=3, cycles=2, switches=1,
+              host_layer="upc", samples=10, self_s=0.04):
+        return {"host": [[host_layer, samples, self_s]],
+                "cost": [[phase, layer, events, cycles, switches]]}
 
     def test_merge_skips_none_and_sums(self):
         host, cost, runs = merge_snapshots(
             [self._snap(), None, self._snap(cycles=5)])
         assert runs == 2
-        assert host[("upc",)] == [20, 10000]
+        assert host["upc"] == [20, 0.08]
         assert cost[("work", "upc")] == [6, 7, 2]
 
     def test_empty_host_path_renders_as_other(self):
-        doc = host_document("x", {(): [0, 123]}, runs=1)
-        assert doc["stacks"][0]["stack"] == [SITE_OTHER]
+        # a sample whose stack holds no repro frame (this test's own)
+        sampler = HostSampler()
+        sampler._on_sample(signal.SIGPROF, sys._getframe())
+        sampler.cpu_s = 0.004
+        doc = host_document("x", merge_snapshots(
+            [{"host": sampler.rows()}])[0], runs=1)
+        assert doc["layers"] == [{"layer": HOST_OTHER,
+                                  names.PROF_HOST_SAMPLES: 1,
+                                  names.PROF_HOST_SELF_S: 0.004}]
         assert validate_profile(doc) == []
 
     def test_top_ranks_by_deterministic_weight(self):
         host, cost, runs = merge_snapshots(
-            [self._snap(), self._snap(site="fabric", cycles=9,
-                                      host_path=("upc", "fabric"), calls=99)])
+            [self._snap(), self._snap(layer="network", cycles=9,
+                                      host_layer="network", samples=99)])
         hdoc = host_document("x", host, runs)
-        assert hdoc["top"][0] == ["fabric", 99]
+        assert hdoc["top"][0] == ["network", 99]
         cdoc = cost_document("x", cost, runs)
-        assert cdoc["top"][0] == ["fabric", 9]
+        assert cdoc["top"][0] == ["network", 9]
 
     def test_folded_lines_host_and_cost(self):
         host, cost, runs = merge_snapshots([self._snap()])
@@ -204,7 +224,7 @@ class TestReport:
 
     def test_folded_skips_zero_weights(self):
         host, cost, runs = merge_snapshots(
-            [self._snap(events=0, cycles=0, switches=0, calls=0)])
+            [self._snap(events=0, cycles=0, switches=0, samples=0)])
         assert folded_lines(host_document("x", host, runs)) == []
         assert folded_lines(cost_document("x", cost, runs)) == []
 
@@ -218,14 +238,22 @@ class TestReport:
         bad = dict(good, mode="wat")
         assert any("mode" in p for p in validate_profile(bad))
         bad = json.loads(canonical_dumps(good))
-        bad["phases"][0]["site"] = "made.up"
-        assert any("unknown site" in p for p in validate_profile(bad))
+        bad["phases"][0]["layer"] = "made.up"
+        assert any("unknown layer" in p for p in validate_profile(bad))
         bad = json.loads(canonical_dumps(good))
         bad["phases"][0][names.PROF_COST_CYCLES] = -1
         assert any(names.PROF_COST_CYCLES in p for p in validate_profile(bad))
         bad = json.loads(canonical_dumps(good))
         bad["top"] = [["made.up", 1]]
         assert any("top[0]" in p for p in validate_profile(bad))
+        host_doc = host_document("x", host, runs)
+        assert validate_profile(host_doc) == []
+        bad = json.loads(canonical_dumps(host_doc))
+        bad["layers"][0]["layer"] = "engine.switch"  # a retired site name
+        assert any("unknown layer" in p for p in validate_profile(bad))
+        bad = json.loads(canonical_dumps(host_doc))
+        bad["layers"][0][names.PROF_HOST_SELF_S] = -0.5
+        assert any(names.PROF_HOST_SELF_S in p for p in validate_profile(bad))
 
     def test_write_profiles_emits_canonical_pairs(self, tmp_path):
         written = write_profiles(tmp_path, "lbl", [self._snap(), None])
@@ -244,7 +272,7 @@ class TestCli:
     def _write(self, tmp_path):
         return write_profiles(
             tmp_path, "x",
-            [{"host": [[["upc"], 10, 5000]],
+            [{"host": [["upc", 10, 0.04]],
               "cost": [["work", "upc", 3, 2, 1]]}])
 
     def test_validate_ok(self, tmp_path, capsys):
@@ -267,6 +295,10 @@ class TestCli:
         out = capsys.readouterr().out
         assert out.startswith("# x [cost] runs=1 weight=cycles")
         assert "  1  upc" in out
+        host_json = next(str(p) for p in written if p.name == "x-host.json")
+        assert profile_main(["top", host_json]) == 0
+        assert capsys.readouterr().out.startswith(
+            "# x [host] runs=1 weight=samples")
 
     def test_top_on_invalid_doc_fails(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
