@@ -47,17 +47,23 @@ class HostSampler:
         self.counts: Counter = Counter()
         #: CPU seconds this process spent while the sampler ran
         self.cpu_s = 0.0
-        self._previous = None
+        #: the SIGPROF handler and ITIMER_PROF setting found at start
+        self._previous = signal.SIG_DFL
+        self._previous_timer = (0.0, 0.0)
         self._cpu0 = 0.0
 
     def _on_sample(self, signum, frame) -> None:
         self.counts[owner(_frame_layers(frame))] += 1
 
     def start(self) -> None:
-        self._previous = signal.signal(signal.SIGPROF, self._on_sample)
+        previous = signal.signal(signal.SIGPROF, self._on_sample)
+        # None: a handler installed outside Python, which cannot be put
+        # back from here; ignoring SIGPROF afterwards keeps a timer that
+        # is still armed from killing the process.
+        self._previous = signal.SIG_IGN if previous is None else previous
         self._cpu0 = time.process_time()
-        signal.setitimer(signal.ITIMER_PROF, SAMPLE_INTERVAL_S,
-                         SAMPLE_INTERVAL_S)
+        self._previous_timer = signal.setitimer(
+            signal.ITIMER_PROF, SAMPLE_INTERVAL_S, SAMPLE_INTERVAL_S)
 
     def stop(self) -> None:
         signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
@@ -65,6 +71,8 @@ class HostSampler:
         # signal.signal runs a pending handler before it swaps handlers,
         # so a sample of the disarmed timer never reaches the previous one.
         signal.signal(signal.SIGPROF, self._previous)
+        # re-arm an outer sampler's timer (a no-op when none was armed)
+        signal.setitimer(signal.ITIMER_PROF, *self._previous_timer)
 
     def rows(self) -> List[List[Any]]:
         """``[layer, samples, self_s]`` per sampled layer, sorted by layer."""

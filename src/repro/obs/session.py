@@ -116,7 +116,8 @@ def instrument(label: str, *, trace: bool = False, sanitize: bool = False,
     tracers or findings would be a debugging trap, and a second host
     sampler would steal the first one's ``SIGPROF`` handler.  The host
     sampler runs for the body and is disarmed on the way out, also when
-    the body raises, with the previous ``SIGPROF`` handler restored.
+    the body raises, with the previous ``SIGPROF`` handler and
+    ``ITIMER_PROF`` timer restored.
     """
     global _ACTIVE
     if _ACTIVE is not None:

@@ -10,32 +10,39 @@ merged profiles while the healthy remainder stays byte-deterministic.
 
 import json
 
-from repro.harness.runner import run_experiment
+from repro.harness.campaign import Campaign
+from repro.harness.executor import make_executor
+from repro.harness.runner import get_experiment, run_experiment
 from repro.obs.analytics import load_summary
-from repro.obs.profile import validate_profile
+from repro.obs.profile import validate_profile, write_profiles
+
+# Host samples need CPU: the kernel fires ITIMER_PROF on its own tick
+# (4 ms at 250 Hz), so a t3_1 point, which burns a few ms, may take no
+# sample at all.  Every r1 point burns over 50 ms of CPU at quick scale,
+# so host-sample checks run on r1.
+SAMPLED = "r1"
 
 
-def _run(tmp_path, name, **kwargs):
+def _run(tmp_path, name, experiment="t3_1", **kwargs):
     out = tmp_path / name
-    result = run_experiment("t3_1", scale="quick", cache_dir=None,
+    result = run_experiment(experiment, scale="quick", cache_dir=None,
                             profile_dir=str(out), **kwargs)
     return result, out
 
 
 class TestArtifacts:
     def test_profile_dir_writes_both_valid_pairs(self, tmp_path):
-        result, out = _run(tmp_path, "p")
+        result, out = _run(tmp_path, "p", SAMPLED)
         assert result.shape_ok
         names = sorted(p.name for p in out.iterdir())
-        assert names == ["t3_1-cost.folded", "t3_1-cost.json",
-                         "t3_1-host.folded", "t3_1-host.json"]
-        for name in ("t3_1-host.json", "t3_1-cost.json"):
-            doc = json.loads((out / name).read_text())
+        assert names == [f"{SAMPLED}-{mode}.{ext}"
+                         for mode in ("cost", "host")
+                         for ext in ("folded", "json")]
+        for mode in ("host", "cost"):
+            doc = json.loads((out / f"{SAMPLED}-{mode}.json").read_text())
             assert validate_profile(doc) == []
             assert doc["runs"] == 4  # one snapshot per campaign point
-        # host samples are statistical: see the jobs=2 test below
-        cost = json.loads((out / "t3_1-cost.json").read_text())
-        assert cost["top"], "a real campaign must rank at least one layer"
+            assert doc["top"], "a real campaign must rank at least one layer"
 
     def test_profiling_leaves_report_byte_identical(self, tmp_path):
         plain = run_experiment("t3_1", scale="quick", cache_dir=None)
@@ -50,15 +57,17 @@ class TestArtifacts:
             assert (inline / name).read_bytes() == (fanned / name).read_bytes()
 
     def test_host_samples_from_every_point_at_jobs2(self, tmp_path):
-        # t3_1's points burn a few ms of CPU, about one kernel tick, so
-        # one campaign can miss every SIGPROF; ten in a row do not
-        for attempt in range(10):
-            _, fanned = _run(tmp_path, f"fanned{attempt}", jobs=2)
-            doc = json.loads((fanned / "t3_1-host.json").read_text())
-            assert validate_profile(doc) == []
-            assert doc["runs"] == 4  # workers ship their samples back
-            if doc["top"]:
-                break
+        campaign = Campaign(get_experiment(SAMPLED),
+                            executor=make_executor(2))
+        snapshots = campaign.run(profile=True).batch.profiles
+        assert len(snapshots) == 4
+        for snapshot in snapshots:  # each worker point ships its samples
+            assert snapshot["host"], "a worker point took no host sample"
+            assert all(samples > 0 for _, samples, _ in snapshot["host"])
+        write_profiles(str(tmp_path), SAMPLED, snapshots)
+        doc = json.loads((tmp_path / f"{SAMPLED}-host.json").read_text())
+        assert validate_profile(doc) == []
+        assert doc["runs"] == 4
         assert sum(weight for _, weight in doc["top"]) > 0
 
 

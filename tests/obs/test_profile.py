@@ -152,6 +152,44 @@ class TestEndToEndDeterminism:
         finally:
             signal.signal(signal.SIGPROF, previous)
 
+    def test_outer_sampler_timer_rearmed(self):
+        def outer(signum, frame):
+            pass
+
+        previous = signal.signal(signal.SIGPROF, outer)
+        # a period of CPU minutes never fires inside the test
+        signal.setitimer(signal.ITIMER_PROF, 600.0, 600.0)
+        try:
+            with instrument("nested", profile=True):
+                assert signal.getitimer(signal.ITIMER_PROF)[1] < 1.0
+            delay, interval = signal.getitimer(signal.ITIMER_PROF)
+            assert interval == 600.0 and delay > 0.0
+            assert signal.getsignal(signal.SIGPROF) is outer
+        finally:
+            signal.setitimer(signal.ITIMER_PROF, 0.0, 0.0)
+            signal.signal(signal.SIGPROF, previous)
+
+    def test_handler_installed_outside_python_falls_back_to_ignore(
+            self, monkeypatch):
+        # signal.signal returns None for a handler a C library installed
+        real = signal.signal
+        calls = []
+
+        def from_c(signum, handler):
+            calls.append(handler)
+            old = real(signum, handler)
+            return None if len(calls) == 1 else old
+
+        previous = signal.getsignal(signal.SIGPROF)
+        monkeypatch.setattr(signal, "signal", from_c)
+        try:
+            with instrument("c-handler", profile=True):
+                pass
+            assert signal.getsignal(signal.SIGPROF) == signal.SIG_IGN
+            assert signal.getitimer(signal.ITIMER_PROF) == (0.0, 0.0)
+        finally:
+            real(signal.SIGPROF, previous)
+
 
 class TestSession:
     def test_profiler_off_outside_session(self):
