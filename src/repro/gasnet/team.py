@@ -14,9 +14,28 @@ from typing import Generator, Optional, Sequence
 from repro.errors import GasnetError
 from repro.obs import names
 from repro.obs.tracer import thread_track
-from repro.sim import SimBarrier, Simulator
+from repro.sim import Event, SimBarrier, Simulator
 
-__all__ = ["Team"]
+__all__ = ["Team", "traced_barrier_wait"]
+
+
+def traced_barrier_wait(barrier: SimBarrier, event: Event, thread_id: int,
+                        label: str) -> Generator:
+    """Simulated generator: block on ``event`` from ``barrier``.
+
+    Traced runs record the wait as a barrier span on the thread's track.
+    The span names the barrier's last arriver as its ``releaser``, so the
+    critical-path walk can jump to the straggler's track.
+    """
+    tracer = barrier.sim.tracer
+    if not tracer.enabled:
+        yield event
+        return
+    span = tracer.begin(thread_track(thread_id), label, names.CAT_BARRIER)
+    try:
+        yield event
+    finally:
+        tracer.end(span, args={"releaser": barrier.last_arriver})
 
 
 class Team:
@@ -37,7 +56,6 @@ class Team:
         self._rank_of = {t: i for i, t in enumerate(members)}
         self._barrier = SimBarrier(sim, parties=len(members), name=f"{self.name}.bar")
         self._op_counters = {t: 0 for t in members}
-        self._dead: set = set()
 
     def __len__(self) -> int:
         return len(self.members)
@@ -76,19 +94,10 @@ class Team:
         sanitizer = self.sim.sanitizer
         if sanitizer.enabled:
             sanitizer.barrier_arrive(("team", self.name), thread_id, self.members)
-        tracer = self.sim.tracer
-        if not tracer.enabled:
-            yield self._barrier.arrive(party=thread_id)
-        else:
-            span = tracer.begin(
-                thread_track(thread_id), f"barrier {self.name}", names.CAT_BARRIER
-            )
-            try:
-                yield self._barrier.arrive(party=thread_id)
-            finally:
-                # The last arriver released us; recording it lets the
-                # critical-path walk jump to the straggler's track.
-                tracer.end(span, args={"releaser": self._barrier.last_arriver})
+        yield from traced_barrier_wait(
+            self._barrier, self._barrier.arrive(party=thread_id), thread_id,
+            f"barrier {self.name}",
+        )
         if sanitizer.enabled:
             sanitizer.barrier_pass(("team", self.name), thread_id)
 
@@ -101,11 +110,7 @@ class Team:
         just permanently empty).  Returns False when already dropped.
         """
         self.rank(thread_id)
-        if thread_id in self._dead:
-            return False
-        self._dead.add(thread_id)
-        self._barrier.drop_party(thread_id)
-        return True
+        return self._barrier.drop_party(thread_id)
 
     def split(self, thread_id: int, color: int, key: Optional[int] = None) -> "TeamSplit":
         """Record a split request; see :meth:`TeamSplit.build` for assembly.

@@ -20,8 +20,10 @@ Examples::
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 import time
+from pathlib import Path
 
 from repro.errors import FaultError
 from repro.harness.cache import DEFAULT_CACHE_DIR
@@ -169,6 +171,10 @@ def main(argv=None) -> int:
         except FaultError as exc:
             parser.error(f"--faults: {exc}")
         wall = time.time() - t0
+        if args.profile_dir and not _host_samples(args.profile_dir, eid):
+            print(f"warning: {eid}: the host profile holds no samples; the "
+                  "1 ms SIGPROF sampler fires only while a point burns CPU, "
+                  "and these points burned too little", file=sys.stderr)
         chunk = result.render() + f"\n(wall time {wall:.1f}s)\n"
         chunks.append(chunk)
         print(chunk)
@@ -183,6 +189,12 @@ def main(argv=None) -> int:
             fh.write(report)
         print(f"report written to {args.out}")
     return 0 if ok else 1
+
+
+def _host_samples(profile_dir: str, eid: str) -> int:
+    """Samples in the merged host profile ``--profile`` wrote for ``eid``."""
+    doc = json.loads((Path(profile_dir) / f"{eid}-host.json").read_text())
+    return sum(weight for _, weight in doc["top"])
 
 
 if __name__ == "__main__":

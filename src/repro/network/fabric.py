@@ -36,8 +36,6 @@ class Connection:
 
     key: tuple
     injector: Resource
-    messages: int = 0
-    bytes: float = 0.0
     active: int = 0  #: messages currently in flight on this connection
 
 
@@ -262,8 +260,6 @@ class Fabric:
         # completes at max(injection end, latency + NIC drain end).
         conn = ini.connection
         yield conn.injector.acquire()
-        conn.messages += 1
-        conn.bytes += nbytes
         fate = self._message_fate(ini, peer)
         self._conn_activity(conn, +1)
         try:

@@ -229,12 +229,15 @@ class Tracer:
             if span.t1 is None:
                 span.t1 = t_end
         if first and self.sim is not None:
-            metrics = getattr(self.sim, "engine_metrics", None)
-            if metrics:
-                self.engine_metrics = {n: metrics[n]
-                                       for n in names.ENGINE_METRICS}
-                for name in names.ENGINE_METRICS:
-                    self.counter(META_TRACK, name, self.engine_metrics[name])
+            sim = self.sim
+            # Every push draws one sequence number, so the next number is
+            # the push count; a pushed event no longer on the heap was
+            # popped.
+            popped = next(sim._seq) - len(sim._heap)
+            metrics = {**sim.engine_metrics, names.ENGINE_EVENTS_POPPED: popped}
+            self.engine_metrics = {n: metrics[n] for n in names.ENGINE_METRICS}
+            for name in names.ENGINE_METRICS:
+                self.counter(META_TRACK, name, self.engine_metrics[name])
 
     @property
     def end_time(self) -> float:

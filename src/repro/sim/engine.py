@@ -387,8 +387,13 @@ class Simulator:
         self.tracer = self.sanitizer = self.profiler = OFF
         #: Engine self-measurement, tallied only while a tracer is armed
         #: (the untraced hot path keeps its single-branch guard) and
-        #: published as counter samples by ``Tracer.finalize``.
-        self.engine_metrics: dict = {n: 0 for n in _metric_names.ENGINE_METRICS}
+        #: published as counter samples by ``Tracer.finalize``, which
+        #: derives the fourth metric, events popped, from the heap.
+        self.engine_metrics: dict = {
+            _metric_names.ENGINE_HEAP_PEAK: 0,
+            _metric_names.ENGINE_CONTEXT_SWITCHES: 0,
+            _metric_names.ENGINE_COSTED_CYCLES: 0,
+        }
 
     # -- scheduling --------------------------------------------------
 
@@ -473,8 +478,6 @@ class Simulator:
                     break
                 heapq.heappop(self._heap)
                 self.now = time
-                if self.tracer.enabled:
-                    self.engine_metrics[_metric_names.ENGINE_EVENTS_POPPED] += 1
                 fn(*args)
             else:
                 if until is not None and until > self.now:
@@ -489,8 +492,6 @@ class Simulator:
             return False
         time, _prio, _seq, fn, args = heapq.heappop(self._heap)
         self.now = time
-        if self.tracer.enabled:
-            self.engine_metrics[_metric_names.ENGINE_EVENTS_POPPED] += 1
         fn(*args)
         return True
 

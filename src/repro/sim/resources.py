@@ -46,10 +46,6 @@ class Resource:
         self.name = name
         self._in_use = 0
         self._queue: Deque[Event] = collections.deque()
-        # Statistics.
-        self.total_acquisitions = 0
-        self.total_wait_time = 0.0
-        self._enqueue_times: dict[int, float] = {}
 
     @property
     def in_use(self) -> int:
@@ -64,10 +60,8 @@ class Resource:
         ev = Event(self.sim)
         if self._in_use < self.capacity and not self._queue:
             self._in_use += 1
-            self.total_acquisitions += 1
             ev.succeed()
         else:
-            self._enqueue_times[id(ev)] = self.sim.now
             self._queue.append(ev)
         return ev
 
@@ -80,12 +74,9 @@ class Resource:
     def _grant_next(self) -> None:
         while self._queue and self._in_use < self.capacity:
             ev = self._queue.popleft()
-            enqueued = self._enqueue_times.pop(id(ev), self.sim.now)
             if ev.cancelled:
                 continue
             self._in_use += 1
-            self.total_acquisitions += 1
-            self.total_wait_time += self.sim.now - enqueued
             ev.succeed()
 
 

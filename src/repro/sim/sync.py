@@ -45,12 +45,14 @@ class Condition:
 
 
 class SimBarrier:
-    """A reusable barrier for exactly ``parties`` simulated processes.
+    """A reusable, fail-stop-aware barrier for ``parties`` simulated processes.
 
-    The implementation is *sense-reversing*: each generation hands out a
-    fresh event, so a fast process re-entering the barrier cannot consume
-    the previous generation's release.  Matches the semantics UPC requires
-    of ``upc_barrier``.
+    The barrier is split-phase: :meth:`notify` records an arrival without
+    blocking and returns the generation it joined; :meth:`wait` blocks on
+    that generation.  :meth:`arrive` is both at once, the blocking
+    ``upc_barrier``; the pair is ``upc_notify`` / ``upc_wait``.  Each
+    generation has its own release event, so a fast process re-entering
+    the barrier cannot consume the previous generation's release.
     """
 
     def __init__(self, sim: Simulator, parties: int, name: str = ""):
@@ -61,12 +63,9 @@ class SimBarrier:
         self.name = name
         self._arrived = 0
         self._arrived_parties: set = set()
+        self._dropped: set = set()
         self._generation = 0
         self._release = Event(sim)
-        self._arrival_times: list[float] = []
-        # Statistics: cumulative time processes spent blocked in the barrier.
-        self.total_wait_time = 0.0
-        self.crossings = 0
         #: Party whose arrival completed the most recent generation (None
         #: when a :meth:`drop_party` released it, or before any release).
         #: Observability reads this to attribute barrier waits to the
@@ -77,10 +76,9 @@ class SimBarrier:
     def generation(self) -> int:
         return self._generation
 
-    def arrive(self, party: Any = None) -> Event:
-        """Arrive at the barrier; the returned event fires at full arrival.
+    def notify(self, party: Any = None) -> int:
+        """Arrive without blocking; returns the generation joined.
 
-        The event's value is the generation number that was completed.
         ``party`` optionally identifies the arriver so a fail-stopped
         participant can later be withdrawn via :meth:`drop_party`.
         """
@@ -92,46 +90,58 @@ class SimBarrier:
             )
         if party is not None:
             self._arrived_parties.add(party)
-        release = self._release
+        generation = self._generation
         if self._arrived == self.parties:
             self.last_arriver = party
-            completed = self._release_generation()
-            done = Event(self.sim)
-            done.succeed(completed)
-            return done
-        self._arrival_times.append(self.sim.now)
-        # Each waiter gets its own event chained off the shared release:
-        # killing one blocked process then cancels only that process's
-        # event, not the generation everyone else still waits on.
-        # (succeed() on a cancelled event is a documented no-op.)
+            self._release_generation()
+        return generation
+
+    def wait(self, generation: int) -> Event:
+        """An event that fires, valued ``generation``, once it is released.
+
+        Already complete for a released generation.  Otherwise each waiter
+        gets its own event chained off the shared release: killing one
+        blocked process then cancels only that process's event, not the
+        generation everyone else still waits on.  (succeed() on a
+        cancelled event is a documented no-op.)
+        """
         waiter = Event(self.sim)
-        release.add_callback(lambda ev: waiter.succeed(ev.value))
+        if generation < self._generation:
+            return waiter.succeed(generation)
+        self._release.add_callback(lambda ev: waiter.succeed(ev.value))
         return waiter
 
-    def drop_party(self, party: Any = None) -> None:
+    def arrive(self, party: Any = None) -> Event:
+        """Arrive and block: ``wait(notify(party))``."""
+        return self.wait(self.notify(party))
+
+    def drop_party(self, party: Any) -> bool:
         """Fail-stop support: permanently remove one participant.
 
         The barrier now needs one fewer arrival per generation.  If the
         dropped party had already arrived this generation (it died while
-        blocked), its arrival is withdrawn too.  When the drop makes the
-        current generation complete, waiters are released immediately —
-        without this, survivors at the barrier would hang forever.
+        blocked, or between notify and wait), its arrival is withdrawn
+        too.  When the drop makes the current generation complete,
+        waiters are released immediately; without this, survivors at the
+        barrier would hang forever.  Returns False when already dropped.
         """
+        if party in self._dropped:
+            return False
         if self.parties <= 1:
             raise SimulationError(
                 f"barrier {self.name!r}: cannot drop the last party"
             )
+        self._dropped.add(party)
         self.parties -= 1
-        if party is not None and party in self._arrived_parties:
+        if party in self._arrived_parties:
             self._arrived_parties.discard(party)
             self._arrived -= 1
-            if self._arrival_times:
-                self._arrival_times.pop()
         if self._arrived == self.parties:
             self.last_arriver = None  # released by a death, not an arrival
             self._release_generation()
+        return True
 
-    def _release_generation(self) -> int:
+    def _release_generation(self) -> None:
         """Complete the current generation, waking everyone blocked."""
         release = self._release
         completed = self._generation
@@ -139,9 +149,4 @@ class SimBarrier:
         self._arrived = 0
         self._arrived_parties.clear()
         self._release = Event(self.sim)
-        self.crossings += 1
-        now = self.sim.now
-        self.total_wait_time += sum(now - t for t in self._arrival_times)
-        self._arrival_times.clear()
         release.succeed(completed)
-        return completed

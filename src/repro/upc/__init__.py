@@ -21,7 +21,7 @@ and launched with :class:`~repro.upc.runtime.UpcProgram`.
 from repro.upc.runtime import ProgramResult, Upc, UpcProgram
 from repro.upc.shared import SharedArray
 from repro.upc.pointers import SharedPointer, PointerTable
-from repro.upc.sync import SplitPhaseBarrier, UpcLock
+from repro.upc.sync import UpcLock
 from repro.upc.groups import ThreadGroup
 from repro.upc import collectives, forall
 
@@ -30,7 +30,6 @@ __all__ = [
     "ProgramResult",
     "SharedArray",
     "SharedPointer",
-    "SplitPhaseBarrier",
     "ThreadGroup",
     "Upc",
     "UpcLock",

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional, Sequence
 
 from repro.errors import UpcError
 from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation, extended
 from repro.gasnet.extended import Handle
+from repro.gasnet.team import traced_barrier_wait
 from repro.machine.affinity import (
     AffinityMask,
     assign_ranks_to_nodes,
@@ -31,7 +32,6 @@ from repro.machine.topology import MachineTopology
 from repro.network.conduits import conduit as lookup_conduit
 from repro.obs import names
 from repro.obs.session import arm
-from repro.obs.tracer import thread_track
 from repro.sim import Event, SimBarrier, Simulator, SplittableRNG, StatsCollector
 
 __all__ = ["UpcProgram", "Upc", "ProgramResult", "CollectiveGate"]
@@ -207,9 +207,10 @@ class UpcProgram:
             self.faults.on_crash(self._on_node_crash)
 
         self.world = Team(self.sim, range(threads), name="world")
-        from repro.upc.sync import SplitPhaseBarrier
-
-        self.split_barrier = SplitPhaseBarrier(self.sim, threads, name="upc_notify")
+        #: The ``upc_notify``/``upc_wait`` barrier, and per thread the
+        #: generation its last ``upc_notify`` joined (None once waited).
+        self.notify_barrier = SimBarrier(self.sim, threads, name="upc_notify")
+        self.pending_notify: List[Optional[int]] = [None] * threads
         self.gate = CollectiveGate(self.sim, threads)
         self._locks: Dict[object, Any] = {}
         self._shared_heap: List[Any] = []
@@ -374,11 +375,11 @@ class UpcProgram:
         # Barrier recovery: the world barrier and the split-phase pair
         # stop counting the dead, releasing survivors blocked there.
         # (Live threads < 1 means the whole job is gone; nothing to do.)
-        alive = self.threads - len(self.dead_threads())
-        for t in dead:
-            if alive >= 1 and self.world.drop_dead(t):
-                self.stats.count(names.FAULTS_BARRIER_SEATS_DROPPED)
-            self.split_barrier.mark_dead(t)
+        if self.threads > len(self.dead_threads()):
+            for t in dead:
+                if self.world.drop_dead(t):
+                    self.stats.count(names.FAULTS_BARRIER_SEATS_DROPPED)
+                self.notify_barrier.drop_party(t)
         sanitizer = self.sim.sanitizer
         if sanitizer.enabled:
             # Dead threads are excused from collective-matching checks.
@@ -506,30 +507,36 @@ class Upc:
     def barrier_notify(self) -> Generator:
         """``upc_notify``: signal arrival, return immediately."""
         yield self.mem.compute(self.pu, BARRIER_BASE_COST)
-        self.program.split_barrier.notify(self.MYTHREAD)
+        program, me = self.program, self.MYTHREAD
+        if program.pending_notify[me] is not None:
+            self._split_phase_misuse("upc_notify before matching upc_wait")
+        sanitizer = self.sim.sanitizer
+        if sanitizer.enabled:
+            sanitizer.notify(me)
+        program.pending_notify[me] = program.notify_barrier.notify(me)
 
     def barrier_wait(self) -> Generator:
         """``upc_wait``: block until every thread has notified this phase."""
         yield self.mem.compute(self.pu, self.program.barrier_cost())
-        tracer = self.sim.tracer
-        if not tracer.enabled:
-            yield self.program.split_barrier.wait(self.MYTHREAD)
-            sanitizer = self.sim.sanitizer
-            if sanitizer.enabled:
-                sanitizer.wait_join(self.MYTHREAD)
-            return
-        span = tracer.begin(
-            thread_track(self.MYTHREAD), "upc_wait", names.CAT_BARRIER
-        )
-        try:
-            yield self.program.split_barrier.wait(self.MYTHREAD)
-        finally:
-            tracer.end(
-                span, args={"releaser": self.program.split_barrier.last_releaser}
-            )
+        program, me = self.program, self.MYTHREAD
+        generation = program.pending_notify[me]
+        if generation is None:
+            self._split_phase_misuse("upc_wait without upc_notify")
         sanitizer = self.sim.sanitizer
         if sanitizer.enabled:
-            sanitizer.wait_join(self.MYTHREAD)
+            sanitizer.wait_begin(me)
+        program.pending_notify[me] = None
+        bar = program.notify_barrier
+        yield from traced_barrier_wait(bar, bar.wait(generation), me, "upc_wait")
+        if sanitizer.enabled:
+            sanitizer.wait_join(me)
+
+    def _split_phase_misuse(self, what: str) -> NoReturn:
+        """UPC requires notify and wait to alternate strictly."""
+        sanitizer = self.sim.sanitizer
+        if sanitizer.enabled:
+            sanitizer.record_collective_misuse(self.MYTHREAD, what)
+        raise UpcError(f"thread {self.MYTHREAD}: {what}")
 
     def lock(self, key: object, affinity_thread: int = 0):
         """Get (creating on first use) the named global lock."""

@@ -1,27 +1,22 @@
-"""UPC synchronization: locks and the split-phase barrier.
+"""UPC locks.
 
 ``upc_lock_t`` objects live in shared memory with affinity to one thread;
 acquiring from elsewhere is an active-message round to that thread (or a
 cache-coherent atomic round when the contender shares memory with the
 lock's home).  Contended waiters queue FIFO at the home, like the
 Berkeley runtime's list locks.
-
-:class:`SplitPhaseBarrier` implements ``upc_notify`` / ``upc_wait``: a
-thread signals arrival without blocking, computes, and only blocks in
-``wait`` — the language-level tool for hiding barrier latency that the
-overlap implementations build on.
 """
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator
 
 from repro.errors import UpcError
 from repro.obs import names
 from repro.obs.tracer import thread_track
-from repro.sim import Event, Resource, Simulator
+from repro.sim import Resource
 
-__all__ = ["UpcLock", "SplitPhaseBarrier"]
+__all__ = ["UpcLock"]
 
 
 class UpcLock:
@@ -117,111 +112,3 @@ class UpcLock:
         if self._holder is None or self._holder not in dead_threads:
             return False
         return self.abandon(self._holder)
-
-
-class SplitPhaseBarrier:
-    """``upc_notify`` / ``upc_wait``: a barrier you can compute through.
-
-    Each thread must strictly alternate ``notify`` then ``wait`` (UPC
-    semantics; violations raise).  A phase's release event fires when the
-    last party notifies; waiters that arrive afterwards pass straight
-    through.
-    """
-
-    def __init__(self, sim: Simulator, parties: int, name: str = ""):
-        if parties < 1:
-            raise UpcError(f"parties must be >= 1, got {parties}")
-        self.sim = sim
-        self.parties = parties
-        self.name = name or "split-barrier"
-        #: per-thread phase: even = expecting notify, odd = expecting wait
-        self._thread_state: List[int] = [0] * parties
-        self._notified = 0
-        self._phase = 0
-        self._release = Event(sim)
-        self._dead: set = set()
-        #: live participants the phase waits for (parties minus the dead)
-        self._required = parties
-        #: Thread whose notify released the most recent phase (None when a
-        #: :meth:`mark_dead` released it).  Read by observability to
-        #: attribute split-phase waits to the straggler.
-        self.last_releaser = None
-
-    def notify(self, thread: int) -> None:
-        """Non-blocking arrival (``upc_notify``)."""
-        self._check_thread(thread)
-        sanitizer = self.sim.sanitizer
-        if self._thread_state[thread] % 2 != 0:
-            if sanitizer.enabled:
-                sanitizer.record_collective_misuse(
-                    thread, "upc_notify before matching upc_wait"
-                )
-            raise UpcError(
-                f"thread {thread}: upc_notify before matching upc_wait"
-            )
-        if sanitizer.enabled:
-            sanitizer.notify(thread)
-        self._thread_state[thread] += 1
-        self._notified += 1
-        self._maybe_release(releaser=thread)
-
-    def mark_dead(self, thread: int) -> bool:
-        """Fail-stop a participant: phases stop waiting for its notify.
-
-        If the dead thread had notified the current phase, its
-        contribution is withdrawn (it can never wait, and the next phase
-        must not count it).  Survivors blocked in ``wait`` are released
-        when the dead thread was the last one missing.  Returns False
-        when already marked.
-        """
-        self._check_thread(thread)
-        if thread in self._dead:
-            return False
-        self._dead.add(thread)
-        self._required -= 1
-        state = self._thread_state[thread]
-        # Withdraw its notify only if it belongs to the *current* phase;
-        # a notify for an already-released phase was consumed long ago.
-        if state % 2 == 1 and state // 2 == self._phase:
-            self._notified -= 1
-        self._maybe_release(releaser=None)
-        return True
-
-    def _maybe_release(self, releaser=None) -> None:
-        if self._required > 0 and self._notified == self._required:
-            self.last_releaser = releaser
-            release, self._release = self._release, Event(self.sim)
-            self._notified = 0
-            self._phase += 1
-            release.succeed(self._phase - 1)
-
-    def wait(self, thread: int) -> Event:
-        """Completion event for this thread's phase (``upc_wait``).
-
-        Already complete if every other thread has notified.
-        """
-        self._check_thread(thread)
-        sanitizer = self.sim.sanitizer
-        if self._thread_state[thread] % 2 != 1:
-            if sanitizer.enabled:
-                sanitizer.record_collective_misuse(
-                    thread, "upc_wait without upc_notify"
-                )
-            raise UpcError(f"thread {thread}: upc_wait without upc_notify")
-        if sanitizer.enabled:
-            sanitizer.wait_begin(thread)
-        my_phase = self._thread_state[thread] // 2
-        self._thread_state[thread] += 1
-        if my_phase < self._phase:
-            done = Event(self.sim)
-            done.succeed(my_phase)
-            return done
-        # Per-waiter event chained off the shared release (a killed
-        # waiter must not cancel the phase out from under the others).
-        waiter = Event(self.sim)
-        self._release.add_callback(lambda ev: waiter.succeed(ev.value))
-        return waiter
-
-    def _check_thread(self, thread: int) -> None:
-        if not 0 <= thread < self.parties:
-            raise UpcError(f"thread {thread} out of range for {self.parties}")

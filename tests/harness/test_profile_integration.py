@@ -10,11 +10,13 @@ merged profiles while the healthy remainder stays byte-deterministic.
 
 import json
 
+from repro.harness.__main__ import main
 from repro.harness.campaign import Campaign
 from repro.harness.executor import make_executor
 from repro.harness.runner import get_experiment, run_experiment
 from repro.obs.analytics import load_summary
 from repro.obs.profile import validate_profile, write_profiles
+from repro.obs.profile.host import HostSampler
 
 # Host samples need CPU: the kernel fires ITIMER_PROF on its own tick
 # (4 ms at 250 Hz), so a t3_1 point, which burns a few ms, may take no
@@ -114,3 +116,29 @@ class TestDegradedCampaign:
         for name in ("t3_1-cost.json", "t3_1-cost.folded"):
             assert ((profiles_a / name).read_bytes()
                     == (profiles_b / name).read_bytes())
+
+
+class TestEmptyHostProfile:
+    """The CLI says so when ``--profile`` took no host sample."""
+
+    @staticmethod
+    def _cli(tmp_path, name, capsys):
+        out = tmp_path / f"{name}.md"
+        assert main(["t3_1", "--no-cache", "--profile", str(tmp_path / name),
+                     "--out", str(out)]) == 0
+        report = [line for line in out.read_text().splitlines()
+                  if not line.startswith("(wall time")]
+        return report, capsys.readouterr()
+
+    def test_empty_host_profile_warns_on_stderr(self, tmp_path, monkeypatch,
+                                                capsys):
+        monkeypatch.setattr(HostSampler, "rows", lambda self: [])
+        report, captured = self._cli(tmp_path, "empty", capsys)
+        assert "warning: t3_1: the host profile holds no samples" in captured.err
+        assert "1 ms SIGPROF sampler" in captured.err
+        assert "warning" not in captured.out
+        monkeypatch.setattr(HostSampler, "rows",
+                            lambda self: [["sim.engine", 3, 0.012]])
+        sampled, captured = self._cli(tmp_path, "sampled", capsys)
+        assert captured.err == ""
+        assert report == sampled  # the warning leaves the report alone

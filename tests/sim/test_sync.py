@@ -63,7 +63,7 @@ class TestSimBarrier:
             sim.spawn(worker(sim, bar, t))
         sim.run()
         assert times == [5.0, 5.0, 5.0]
-        assert bar.crossings == 1
+        assert bar.generation == 1
 
     def test_reusable_generations(self, sim):
         bar = SimBarrier(sim, parties=2)
@@ -92,18 +92,6 @@ class TestSimBarrier:
         sim.run()
         assert p.result == 0.0
 
-    def test_wait_time_accumulates(self, sim):
-        bar = SimBarrier(sim, parties=2)
-
-        def worker(sim, bar, arrive_at):
-            yield sim.delay(arrive_at)
-            yield bar.arrive()
-
-        sim.spawn(worker(sim, bar, 0.0))
-        sim.spawn(worker(sim, bar, 4.0))
-        sim.run()
-        assert bar.total_wait_time == pytest.approx(4.0)
-
     def test_bad_parties_rejected(self, sim):
         with pytest.raises(ValueError):
             SimBarrier(sim, parties=0)
@@ -114,3 +102,18 @@ class TestSimBarrier:
         bar._arrived = 2  # simulate a missed release bug
         with pytest.raises(SimulationError, match="arrivals"):
             bar.arrive()
+
+    def test_release_wakes_waiters_before_the_last_arriver(self, sim):
+        bar = SimBarrier(sim, parties=3)
+        order = []
+
+        def member(i, delay):
+            yield sim.delay(delay)
+            yield bar.arrive(party=i)
+            order.append(i)
+
+        for i, delay in ((0, 1.0), (1, 2.0), (2, 3.0)):
+            sim.spawn(member(i, delay))
+        sim.run()
+        assert order == [0, 1, 2]
+        assert bar.last_arriver == 2

@@ -1,10 +1,14 @@
-"""Unit tests for the split-phase barrier (upc_notify / upc_wait)."""
+"""The split-phase barrier: ``upc_notify`` / ``upc_wait``.
+
+Both run on a :class:`~repro.sim.SimBarrier` (``notify`` returns the
+generation joined, ``wait`` blocks on it); the UPC program keeps each
+thread's pending generation and rejects notify/wait out of order.
+"""
 
 import pytest
 
 from repro.errors import UpcError
-from repro.sim import Simulator
-from repro.upc.sync import SplitPhaseBarrier
+from repro.sim import SimBarrier, Simulator
 from tests.upc.conftest import make_program
 
 
@@ -13,52 +17,52 @@ def sim():
     return Simulator()
 
 
+def _run_misuse(main):
+    with pytest.raises(Exception) as info:
+        make_program(threads=2).run(main)
+    return info.value
+
+
 class TestSplitPhaseBarrier:
-    def test_bad_parties(self, sim):
-        with pytest.raises(UpcError):
-            SplitPhaseBarrier(sim, 0)
+    def test_wait_without_notify_rejected(self):
+        def main(upc):
+            yield from upc.barrier_wait()
 
-    def test_thread_out_of_range(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
-        with pytest.raises(UpcError, match="out of range"):
-            bar.notify(2)
+        err = _run_misuse(main)
+        assert isinstance(err.__cause__, UpcError)
+        assert "upc_wait without upc_notify" in str(err.__cause__)
 
-    def test_wait_without_notify_rejected(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
-        with pytest.raises(UpcError, match="without"):
-            bar.wait(0)
+    def test_double_notify_rejected(self):
+        def main(upc):
+            yield from upc.barrier_notify()
+            yield from upc.barrier_notify()
 
-    def test_double_notify_rejected(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
-        bar.notify(0)
-        with pytest.raises(UpcError, match="before matching"):
-            bar.notify(0)
+        err = _run_misuse(main)
+        assert isinstance(err.__cause__, UpcError)
+        assert "upc_notify before matching upc_wait" in str(err.__cause__)
 
     def test_release_on_last_notify(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
-        bar.notify(0)
-        ev = bar.wait(0)
+        bar = SimBarrier(sim, 2)
+        ev = bar.wait(bar.notify(0))
         assert not ev.done
         bar.notify(1)
         assert ev.done
 
     def test_late_waiter_passes_through(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
-        bar.notify(0)
-        bar.notify(1)
-        assert bar.wait(0).done
-        assert bar.wait(1).done
+        bar = SimBarrier(sim, 2)
+        g0 = bar.notify(0)
+        g1 = bar.notify(1)
+        assert bar.wait(g0).done
+        assert bar.wait(g1).done
 
     def test_phases_are_independent(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
+        bar = SimBarrier(sim, 2)
         # phase 0
-        bar.notify(0)
-        bar.notify(1)
-        bar.wait(0)
-        bar.wait(1)
+        g0, g1 = bar.notify(0), bar.notify(1)
+        bar.wait(g0)
+        bar.wait(g1)
         # phase 1: thread 0 races ahead
-        bar.notify(0)
-        ev = bar.wait(0)
+        ev = bar.wait(bar.notify(0))
         assert not ev.done
         bar.notify(1)
         assert ev.done and ev.value == 1
@@ -120,38 +124,46 @@ class TestUpcNotifyWait:
 
 
 class TestSplitPhaseFailStop:
-    """mark_dead: crashed threads must not strand a split-phase pair."""
+    """drop_party: crashed threads must not strand a split-phase pair."""
 
     def test_dead_thread_that_never_notified(self, sim):
-        bar = SplitPhaseBarrier(sim, 3)
-        bar.notify(0)
-        bar.notify(1)
-        assert not bar.wait(0).done
-        assert bar.mark_dead(2)
-        assert bar.wait(1).done  # phase released by the drop
+        bar = SimBarrier(sim, 3)
+        g0 = bar.notify(0)
+        g1 = bar.notify(1)
+        assert not bar.wait(g0).done
+        assert bar.drop_party(2)
+        assert bar.wait(g1).done  # phase released by the drop
 
     def test_dead_thread_that_notified_current_phase(self, sim):
-        bar = SplitPhaseBarrier(sim, 3)
+        bar = SimBarrier(sim, 3)
         bar.notify(0)  # then dies while others compute
-        bar.mark_dead(0)
+        bar.drop_party(0)
         bar.notify(1)
+        g2 = bar.notify(2)
+        assert bar.wait(g2).done  # 0's withdrawn notify was not counted
+
+    def test_dead_thread_blocked_in_wait_is_withdrawn(self, sim):
+        bar = SimBarrier(sim, 3)
+        waiting = bar.wait(bar.notify(0))  # 0 dies blocked in upc_wait
+        bar.drop_party(0)
+        bar.notify(1)
+        assert not waiting.done  # 2 has not notified yet
         bar.notify(2)
-        assert bar.wait(1).done  # 0's withdrawn notify was not counted
+        assert waiting.done
 
     def test_dead_thread_notify_from_released_phase_not_withdrawn(self, sim):
-        bar = SplitPhaseBarrier(sim, 2)
-        bar.notify(0)
+        bar = SimBarrier(sim, 2)
+        g0 = bar.notify(0)
         bar.notify(1)  # phase 0 releases here; both are "expecting wait"
-        bar.mark_dead(1)
-        assert bar.wait(0).done
+        bar.drop_party(1)
+        assert bar.wait(g0).done
         # next phase is thread 0 alone
-        bar.notify(0)
-        assert bar.wait(0).done
+        assert bar.wait(bar.notify(0)).done
 
     def test_mark_dead_idempotent(self, sim):
-        bar = SplitPhaseBarrier(sim, 3)
-        assert bar.mark_dead(2)
-        assert not bar.mark_dead(2)
+        bar = SimBarrier(sim, 3)
+        assert bar.drop_party(2)
+        assert not bar.drop_party(2)
 
     def test_program_crash_mid_barrier_releases_survivors(self):
         # End-to-end: half the job dies while everyone is blocked in
