@@ -16,25 +16,27 @@ Happens-before engine
 One integer vector clock per UPC thread.  Synchronization hooks move
 knowledge between clocks:
 
-* **barrier/collective arrive** — snapshot the arriver's clock under the
-  current generation of that barrier key;
-* **barrier/collective pass** — join the merged snapshot of the
-  generation, then tick the thread's own component;
-* **notify/wait** — notify snapshots (then ticks) per split-phase phase;
-  wait joins every snapshot of its phase;
-* **lock release/acquire** — release snapshots (then ticks) per lock
-  key; acquire joins;
-* **flag signal/join** — the collectives' pairwise rendezvous, same
-  snapshot/join pair.
+* **barrier/collective arrive** (``upc_notify``, or the first half of
+  ``upc_barrier``) — snapshot the arriver's clock under the current
+  generation of that barrier key, then tick, so accesses between
+  ``upc_notify`` and ``upc_wait`` carry an epoch the generation does not
+  order;
+* **barrier/collective pass** (``upc_wait``) — join the merged snapshot
+  of the generation, then tick the thread's own component;
+* **release/acquire** — locks and the collectives' pairwise flags alike:
+  release snapshots (then ticks) under a key namespaced as
+  ``("lock", key)`` or ``("flag", tag, peer)``; acquire joins.
 
 The race detector is FastTrack-flavoured: each :class:`SharedArray`
 access is recorded as ``(thread, epoch, range, op)`` where ``epoch`` is
 the thread's own clock component; a new access races with a recorded one
 iff the ranges overlap, the threads differ, at least one is a write, and
-the accessor's clock has not absorbed the recorded epoch.  A fully
-subscribed world-barrier pass orders *everything* before it, so the
-shadow memory is cleared there — steady-state BSP programs keep O(accesses
-per superstep) shadow state, not O(run).
+the accessor's clock has not absorbed the recorded epoch.  Once the last
+live arriver of a fully subscribed generation has passed, every live
+clock holds the merged snapshot, so the records it orders (``epoch <=
+merged[thread]``) can never race again and are dropped — steady-state
+BSP programs keep O(accesses per superstep) shadow state, not O(run).
+Records made between a notify and its wait are newer and stay.
 """
 
 from __future__ import annotations
@@ -99,14 +101,8 @@ class Sanitizer:
         self._bar_snaps: Dict[tuple, Dict[int, Dict[int, list]]] = {}
         self._bar_merged: Dict[tuple, Dict[int, list]] = {}
         self._bar_released: Dict[tuple, Dict[int, int]] = {}
-        # split-phase notify/wait
-        self._notify_snaps: Dict[int, Dict[int, list]] = {}
-        self._notify_count: Dict[int, int] = {}
-        self._wait_begin_count: Dict[int, int] = {}
-        self._wait_done_count: Dict[int, int] = {}
-        # locks and flags
-        self._lock_clock: Dict[object, list] = {}
-        self._flag_clock: Dict[object, list] = {}
+        # last release snapshot per ("lock"|"flag", key)
+        self._release_clock: Dict[tuple, list] = {}
 
     # -- vector-clock primitives ------------------------------------------
 
@@ -227,10 +223,13 @@ class Sanitizer:
         ]
         records[:] = kept
 
-    def _clear_shadow(self) -> None:
+    def _drop_ordered(self, merged: list) -> None:
+        """Drop the records a fully passed generation ordered before every
+        live thread (see module docstring)."""
         for shadow in self._shadow.values():
-            shadow["reads"].clear()
-            shadow["writes"].clear()
+            for kind in ("reads", "writes"):
+                records = shadow[kind]
+                records[:] = [rec for rec in records if rec[1] > merged[rec[0]]]
 
     # -- privatization-legality checker -----------------------------------
 
@@ -286,6 +285,7 @@ class Sanitizer:
         arrives[thread] = gen + 1
         snaps = self._bar_snaps.setdefault(key, {})
         snaps.setdefault(gen, {})[thread] = self._snapshot(thread)
+        self._tick(thread)
 
     def barrier_pass(self, key: tuple, thread: int) -> None:
         passes = self._bar_passes.setdefault(key, {})
@@ -302,55 +302,28 @@ class Sanitizer:
                     if v > merged[i]:
                         merged[i] = v
             merged_by_gen[gen] = merged
-            # a fully subscribed generation orders every prior access:
-            # the race shadow can restart empty (see module docstring)
-            if set(snaps) >= set(self._live()):
-                self._clear_shadow()
         self._join(thread, merged)
         self._tick(thread)
         released = self._bar_released.setdefault(key, {})
         released[gen] = released.get(gen, 0) + 1
-        if released[gen] >= len(snaps):
-            # everyone through: retire the generation's bookkeeping
+        if released[gen] >= len(snaps) - sum(t in snaps for t in self._dead):
+            # every live arriver is through: retire the generation
+            if set(snaps) >= set(self._live()):
+                self._drop_ordered(merged)
             self._bar_snaps.get(key, {}).pop(gen, None)
             merged_by_gen.pop(gen, None)
             released.pop(gen, None)
 
-    # -- split-phase notify/wait ------------------------------------------
-
-    def notify(self, thread: int) -> None:
-        phase = self._notify_count.get(thread, 0)
-        self._notify_count[thread] = phase + 1
-        self._notify_snaps.setdefault(phase, {})[thread] = self._snapshot(thread)
-        self._tick(thread)
-
-    def wait_begin(self, thread: int) -> None:
-        self._wait_begin_count[thread] = self._wait_begin_count.get(thread, 0) + 1
-
-    def wait_join(self, thread: int) -> None:
-        phase = self._wait_done_count.get(thread, 0)
-        self._wait_done_count[thread] = phase + 1
-        for snap in self._notify_snaps.get(phase, {}).values():
-            self._join(thread, snap)
-        self._tick(thread)
-
     # -- locks and flags ---------------------------------------------------
 
-    def lock_acquire(self, key: object, thread: int) -> None:
-        snap = self._lock_clock.get(key)
-        if snap is not None:
-            self._join(thread, snap)
-
-    def lock_release(self, key: object, thread: int) -> None:
-        self._lock_clock[key] = self._snapshot(thread)
+    def release(self, key: tuple, thread: int) -> None:
+        """Lock release or flag signal; ``key`` leads with "lock"/"flag"."""
+        self._release_clock[key] = self._snapshot(thread)
         self._tick(thread)
 
-    def flag_signal(self, key: object, thread: int) -> None:
-        self._flag_clock[key] = self._snapshot(thread)
-        self._tick(thread)
-
-    def flag_join(self, key: object, thread: int) -> None:
-        snap = self._flag_clock.get(key)
+    def acquire(self, key: tuple, thread: int) -> None:
+        """Lock acquire or flag join: absorb the key's last release."""
+        snap = self._release_clock.get(key)
         if snap is not None:
             self._join(thread, snap)
 
@@ -367,24 +340,38 @@ class Sanitizer:
         if self._finalized:
             return self.findings
         self._finalized = True
-        # 1. barriers/collectives someone reached but that never released
+        # 1. generations a live thread arrived at but never passed: either
+        #    never released (someone never arrived), or released and left
+        #    by an arriver (a upc_notify without its upc_wait)
         flagged_keys = set()
         for key in sorted(self._bar_members, key=repr):
             members = [t for t in self._bar_members[key] if t not in self._dead]
             snaps = self._bar_snaps.get(key, {})
+            passes = self._bar_passes.get(key, {})
             for gen in sorted(snaps):
                 arrived = sorted(t for t in snaps[gen] if t not in self._dead)
-                if not arrived or self._bar_released.get(key, {}).get(gen, 0):
+                stuck = [t for t in arrived if passes.get(t, 0) <= gen]
+                if not stuck:
                     continue
-                missing = sorted(t for t in members if t not in snaps[gen])
                 flagged_keys.add(key)
-                self._emit(
-                    "collective",
-                    f"{_key_label(key)} never completed: threads {arrived} "
-                    f"arrived, threads {missing} never did",
-                    threads=tuple(arrived + missing),
-                    details={"key": repr(key), "arrived": arrived, "missing": missing},
-                )
+                missing = sorted(t for t in members if t not in snaps[gen])
+                if missing and not self._bar_released.get(key, {}).get(gen, 0):
+                    hint = " (never notified)" if key[0] == "team" else ""
+                    self._emit(
+                        "collective",
+                        f"{_key_label(key)} never completed: threads {arrived} "
+                        f"arrived, threads {missing} never did{hint}",
+                        threads=tuple(arrived + missing),
+                        details={"key": repr(key), "arrived": arrived, "missing": missing},
+                    )
+                    continue
+                for t in stuck:
+                    self._emit(
+                        "collective",
+                        f"thread {t}: upc_notify (phase {gen}) without "
+                        f"a matching upc_wait",
+                        threads=(t,),
+                    )
         # 2. live members that completed different numbers of operations
         for key in sorted(self._bar_members, key=repr):
             if key in flagged_keys:
@@ -401,24 +388,6 @@ class Sanitizer:
                     threads=tuple(members),
                     details={"key": repr(key), "counts": counts},
                 )
-        # 3. split-phase pairs left dangling
-        for t in self._live():
-            notified = self._notify_count.get(t, 0)
-            waited = self._wait_done_count.get(t, 0)
-            if notified <= waited:
-                continue
-            began = self._wait_begin_count.get(t, 0)
-            if began > waited:
-                msg = (
-                    f"thread {t}: upc_wait for split-phase {waited} never "
-                    f"completed (some thread never notified)"
-                )
-            else:
-                msg = (
-                    f"thread {t}: upc_notify (phase {notified - 1}) without "
-                    f"a matching upc_wait"
-                )
-            self._emit("collective", msg, threads=(t,))
         for checker, n in sorted(self._suppressed.items()):
             self.findings.append(
                 Finding(

@@ -14,28 +14,9 @@ from typing import Generator, Optional, Sequence
 from repro.errors import GasnetError
 from repro.obs import names
 from repro.obs.tracer import thread_track
-from repro.sim import Event, SimBarrier, Simulator
+from repro.sim import SimBarrier, Simulator
 
-__all__ = ["Team", "traced_barrier_wait"]
-
-
-def traced_barrier_wait(barrier: SimBarrier, event: Event, thread_id: int,
-                        label: str) -> Generator:
-    """Simulated generator: block on ``event`` from ``barrier``.
-
-    Traced runs record the wait as a barrier span on the thread's track.
-    The span names the barrier's last arriver as its ``releaser``, so the
-    critical-path walk can jump to the straggler's track.
-    """
-    tracer = barrier.sim.tracer
-    if not tracer.enabled:
-        yield event
-        return
-    span = tracer.begin(thread_track(thread_id), label, names.CAT_BARRIER)
-    try:
-        yield event
-    finally:
-        tracer.end(span, args={"releaser": barrier.last_arriver})
+__all__ = ["Team"]
 
 
 class Team:
@@ -90,14 +71,39 @@ class Team:
 
     def barrier(self, thread_id: int) -> Generator:
         """Simulated generator: team barrier (all live members must call)."""
+        yield from self.wait(thread_id, self.notify(thread_id))
+
+    def notify(self, thread_id: int) -> int:
+        """Arrive at the team barrier without blocking; returns the
+        generation joined (``upc_notify`` on the world team)."""
         self.rank(thread_id)  # membership check
         sanitizer = self.sim.sanitizer
         if sanitizer.enabled:
             sanitizer.barrier_arrive(("team", self.name), thread_id, self.members)
-        yield from traced_barrier_wait(
-            self._barrier, self._barrier.arrive(party=thread_id), thread_id,
-            f"barrier {self.name}",
-        )
+        return self._barrier.notify(thread_id)
+
+    def wait(self, thread_id: int, generation: int) -> Generator:
+        """Simulated generator: block until ``generation`` is released
+        (``upc_wait`` on the world team).
+
+        Traced runs record the wait as a barrier span on the thread's
+        track.  The span names the barrier's last arriver as its
+        ``releaser``, so the critical-path walk can jump to the
+        straggler's track.
+        """
+        event = self._barrier.wait(generation)
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            span = tracer.begin(
+                thread_track(thread_id), f"barrier {self.name}", names.CAT_BARRIER
+            )
+            try:
+                yield event
+            finally:
+                tracer.end(span, args={"releaser": self._barrier.last_arriver})
+        else:
+            yield event
+        sanitizer = self.sim.sanitizer
         if sanitizer.enabled:
             sanitizer.barrier_pass(("team", self.name), thread_id)
 

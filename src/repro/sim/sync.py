@@ -49,8 +49,8 @@ class SimBarrier:
 
     The barrier is split-phase: :meth:`notify` records an arrival without
     blocking and returns the generation it joined; :meth:`wait` blocks on
-    that generation.  :meth:`arrive` is both at once, the blocking
-    ``upc_barrier``; the pair is ``upc_notify`` / ``upc_wait``.  Each
+    that generation.  ``wait(notify(party))`` is the blocking barrier;
+    the pair is ``upc_notify`` / ``upc_wait``.  Each
     generation has its own release event, so a fast process re-entering
     the barrier cannot consume the previous generation's release.
     """
@@ -110,10 +110,6 @@ class SimBarrier:
             return waiter.succeed(generation)
         self._release.add_callback(lambda ev: waiter.succeed(ev.value))
         return waiter
-
-    def arrive(self, party: Any = None) -> Event:
-        """Arrive and block: ``wait(notify(party))``."""
-        return self.wait(self.notify(party))
 
     def drop_party(self, party: Any) -> bool:
         """Fail-stop support: permanently remove one participant.

@@ -39,7 +39,7 @@ def broadcast(upc, team: Team, nbytes: float, root_rank: int = 0, value: Any = N
     box = upc.program.flag((tag, "value"))
     if rel == 0 and not box.done:
         if sanitizer.enabled:
-            sanitizer.flag_signal((tag, "value"), upc.MYTHREAD)
+            sanitizer.release(("flag", tag, "value"), upc.MYTHREAD)
         box.succeed(value)
 
     # Standard binomial tree: receive from the parent below my lowest
@@ -50,7 +50,7 @@ def broadcast(upc, team: Team, nbytes: float, root_rank: int = 0, value: Any = N
             flag = upc.program.flag((tag, rel))
             yield flag
             if sanitizer.enabled:
-                sanitizer.flag_join((tag, rel), upc.MYTHREAD)
+                sanitizer.acquire(("flag", tag, rel), upc.MYTHREAD)
             upc.program._flags.pop((tag, rel), None)
             break
         mask <<= 1
@@ -61,13 +61,13 @@ def broadcast(upc, team: Team, nbytes: float, root_rank: int = 0, value: Any = N
             dst = team.thread_at((child_rel + root_rank) % size)
             yield from upc.memput(dst, nbytes)
             if sanitizer.enabled:
-                sanitizer.flag_signal((tag, child_rel), upc.MYTHREAD)
+                sanitizer.release(("flag", tag, child_rel), upc.MYTHREAD)
             upc.program.flag((tag, child_rel)).succeed()
         mask >>= 1
 
     result = yield box
     if sanitizer.enabled:
-        sanitizer.flag_join((tag, "value"), upc.MYTHREAD)
+        sanitizer.acquire(("flag", tag, "value"), upc.MYTHREAD)
     return result
 
 
@@ -97,7 +97,7 @@ def reduce(
             yield from upc.memput(dst, nbytes)
             flag = upc.program.flag((tag, rel))
             if sanitizer.enabled:
-                sanitizer.flag_signal((tag, rel), upc.MYTHREAD)
+                sanitizer.release(("flag", tag, rel), upc.MYTHREAD)
             flag.succeed(acc)
             return None
         partner_rel = rel | bit
@@ -105,7 +105,7 @@ def reduce(
             flag = upc.program.flag((tag, partner_rel))
             other = yield flag
             if sanitizer.enabled:
-                sanitizer.flag_join((tag, partner_rel), upc.MYTHREAD)
+                sanitizer.acquire(("flag", tag, partner_rel), upc.MYTHREAD)
             upc.program._flags.pop((tag, partner_rel), None)
             acc = op(acc, other)
         bit <<= 1
@@ -170,7 +170,7 @@ def gather(upc, team: Team, nbytes: float, root_rank: int = 0) -> Generator:
     if me != root_rank:
         yield from upc.memput(root, nbytes)
         if sanitizer.enabled:
-            sanitizer.flag_signal((tag, me), upc.MYTHREAD)
+            sanitizer.release(("flag", tag, me), upc.MYTHREAD)
         upc.program.flag((tag, me)).succeed()
     else:
         for r in range(len(team)):
@@ -179,7 +179,7 @@ def gather(upc, team: Team, nbytes: float, root_rank: int = 0) -> Generator:
             flag = upc.program.flag((tag, r))
             yield flag
             if sanitizer.enabled:
-                sanitizer.flag_join((tag, r), upc.MYTHREAD)
+                sanitizer.acquire(("flag", tag, r), upc.MYTHREAD)
             upc.program._flags.pop((tag, r), None)
 
 
@@ -194,11 +194,11 @@ def scatter(upc, team: Team, nbytes: float, root_rank: int = 0) -> Generator:
                 continue
             yield from upc.memput(team.thread_at(r), nbytes)
             if sanitizer.enabled:
-                sanitizer.flag_signal((tag, r), upc.MYTHREAD)
+                sanitizer.release(("flag", tag, r), upc.MYTHREAD)
             upc.program.flag((tag, r)).succeed()
     else:
         flag = upc.program.flag((tag, me))
         yield flag
         if sanitizer.enabled:
-            sanitizer.flag_join((tag, me), upc.MYTHREAD)
+            sanitizer.acquire(("flag", tag, me), upc.MYTHREAD)
         upc.program._flags.pop((tag, me), None)

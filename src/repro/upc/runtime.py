@@ -17,7 +17,6 @@ from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional, Seq
 from repro.errors import UpcError
 from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation, extended
 from repro.gasnet.extended import Handle
-from repro.gasnet.team import traced_barrier_wait
 from repro.machine.affinity import (
     AffinityMask,
     assign_ranks_to_nodes,
@@ -32,7 +31,7 @@ from repro.machine.topology import MachineTopology
 from repro.network.conduits import conduit as lookup_conduit
 from repro.obs import names
 from repro.obs.session import arm
-from repro.sim import Event, SimBarrier, Simulator, SplittableRNG, StatsCollector
+from repro.sim import Event, Simulator, SplittableRNG, StatsCollector
 
 __all__ = ["UpcProgram", "Upc", "ProgramResult", "CollectiveGate"]
 
@@ -207,9 +206,8 @@ class UpcProgram:
             self.faults.on_crash(self._on_node_crash)
 
         self.world = Team(self.sim, range(threads), name="world")
-        #: The ``upc_notify``/``upc_wait`` barrier, and per thread the
-        #: generation its last ``upc_notify`` joined (None once waited).
-        self.notify_barrier = SimBarrier(self.sim, threads, name="upc_notify")
+        #: Per thread, the world-barrier generation its last ``upc_notify``
+        #: joined (None once waited).
         self.pending_notify: List[Optional[int]] = [None] * threads
         self.gate = CollectiveGate(self.sim, threads)
         self._locks: Dict[object, Any] = {}
@@ -372,14 +370,14 @@ class UpcProgram:
         for lock in self._locks.values():
             if lock.break_dead_holder(dead_set):
                 self.stats.count(names.FAULTS_LOCKS_RECOVERED)
-        # Barrier recovery: the world barrier and the split-phase pair
-        # stop counting the dead, releasing survivors blocked there.
+        # Barrier recovery: the world barrier (upc_barrier and the
+        # upc_notify/upc_wait pair alike) stops counting the dead,
+        # releasing survivors blocked there.
         # (Live threads < 1 means the whole job is gone; nothing to do.)
         if self.threads > len(self.dead_threads()):
             for t in dead:
                 if self.world.drop_dead(t):
                     self.stats.count(names.FAULTS_BARRIER_SEATS_DROPPED)
-                self.notify_barrier.drop_party(t)
         sanitizer = self.sim.sanitizer
         if sanitizer.enabled:
             # Dead threads are excused from collective-matching checks.
@@ -500,20 +498,24 @@ class Upc:
     # -- synchronization ------------------------------------------------------
 
     def barrier(self) -> Generator:
-        """``upc_barrier``: software cost + world-team arrival."""
+        """``upc_barrier``: software cost + world-team arrival.
+
+        The same world barrier as ``upc_notify`` + ``upc_wait``, so the
+        two forms may be mixed across threads.
+        """
+        if self.program.pending_notify[self.MYTHREAD] is not None:
+            # a second arrival in one generation would release it early
+            self._split_phase_misuse("upc_barrier between upc_notify and upc_wait")
         yield self.mem.compute(self.pu, self.program.barrier_cost())
         yield from self.program.world.barrier(self.MYTHREAD)
 
     def barrier_notify(self) -> Generator:
-        """``upc_notify``: signal arrival, return immediately."""
+        """``upc_notify``: arrive at the world barrier, return immediately."""
         yield self.mem.compute(self.pu, BARRIER_BASE_COST)
         program, me = self.program, self.MYTHREAD
         if program.pending_notify[me] is not None:
             self._split_phase_misuse("upc_notify before matching upc_wait")
-        sanitizer = self.sim.sanitizer
-        if sanitizer.enabled:
-            sanitizer.notify(me)
-        program.pending_notify[me] = program.notify_barrier.notify(me)
+        program.pending_notify[me] = program.world.notify(me)
 
     def barrier_wait(self) -> Generator:
         """``upc_wait``: block until every thread has notified this phase."""
@@ -522,14 +524,8 @@ class Upc:
         generation = program.pending_notify[me]
         if generation is None:
             self._split_phase_misuse("upc_wait without upc_notify")
-        sanitizer = self.sim.sanitizer
-        if sanitizer.enabled:
-            sanitizer.wait_begin(me)
         program.pending_notify[me] = None
-        bar = program.notify_barrier
-        yield from traced_barrier_wait(bar, bar.wait(generation), me, "upc_wait")
-        if sanitizer.enabled:
-            sanitizer.wait_join(me)
+        yield from program.world.wait(me, generation)
 
     def _split_phase_misuse(self, what: str) -> NoReturn:
         """UPC requires notify and wait to alternate strictly."""

@@ -55,7 +55,7 @@ class UpcLock:
         if sanitizer.enabled:
             # acquire joins the previous releaser's clock: accesses under
             # the lock are ordered across threads.
-            sanitizer.lock_acquire(self.key, upc.MYTHREAD)
+            sanitizer.acquire(("lock", self.key), upc.MYTHREAD)
         tracer = self.program.sim.tracer
         if tracer.enabled:
             self._hold_span = tracer.begin(
@@ -72,7 +72,7 @@ class UpcLock:
         self._holder = None
         sanitizer = self.program.sim.sanitizer
         if sanitizer.enabled:
-            sanitizer.lock_release(self.key, upc.MYTHREAD)
+            sanitizer.release(("lock", self.key), upc.MYTHREAD)
         # Releasing notifies the home; a shared-memory round when local.
         # The hand-off to queued waiters must happen even if the round
         # fails (dead home) or the releaser is killed mid-round —

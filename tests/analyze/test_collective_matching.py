@@ -79,6 +79,22 @@ class TestSplitPhaseMisuse:
         assert len(findings) == 2  # one per thread
         assert all("without a matching upc_wait" in f.message for f in findings)
 
+    def test_one_thread_never_waits(self):
+        # Both notify, so thread 0's upc_wait is released; thread 1 never
+        # waits.  That is one dangling notify, not a call-count mismatch.
+        def main(upc):
+            yield from upc.barrier_notify()
+            if upc.MYTHREAD == 0:
+                yield from upc.barrier_wait()
+
+        with instrument("test", sanitize=True) as session:
+            prog = make_program(threads=2)
+            prog.run(main)
+        assert [f.message for f in coll_findings(session)] == [
+            "thread 1: upc_notify (phase 0) without a matching upc_wait"
+        ]
+        assert session.findings == coll_findings(session)
+
     def test_unfinished_wait_distinguished(self):
         def main(upc):
             if upc.MYTHREAD == 0:

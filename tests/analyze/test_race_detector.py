@@ -83,6 +83,46 @@ class TestSeededRaces:
         _res, session = run_sanitized(main)
         assert len(race_findings(session)) == 1
 
+    def test_read_between_notify_and_wait_races_after_a_peer_passed(self):
+        # Thread 1 is already through its upc_wait when thread 2 reads;
+        # thread 2 has not waited yet, so thread 0's pre-notify write is
+        # still unordered with the read.  Passing a generation must not
+        # forget that write.
+        def main(upc):
+            arr = yield from upc.all_alloc(4)
+            if upc.MYTHREAD == 0:
+                yield from arr.write_elem(upc, 0, 1.0)
+            yield from upc.barrier_notify()
+            if upc.MYTHREAD == 2:
+                yield from upc.compute(2e-5)
+                yield from arr.read_elem(upc, 0)
+            yield from upc.barrier_wait()
+
+        _res, session = run_sanitized(main, threads=3)
+        races = race_findings(session)
+        assert len(races) == 1
+        assert races[0].threads == (0, 2)
+        assert "read_elem" in races[0].message
+
+    def test_write_after_notify_races_with_peer_after_wait(self):
+        # upc_wait orders what the peers did before their upc_notify, not
+        # after it: thread 0's write between its notify and wait is
+        # concurrent with thread 1's read after its own wait.
+        def main(upc):
+            arr = yield from upc.all_alloc(4)
+            yield from upc.barrier_notify()
+            if upc.MYTHREAD == 0:
+                yield from arr.write_elem(upc, 0, 1.0)
+            yield from upc.barrier_wait()
+            if upc.MYTHREAD == 1:
+                yield from arr.read_elem(upc, 0)
+            yield from upc.barrier()
+
+        _res, session = run_sanitized(main)
+        races = race_findings(session)
+        assert len(races) == 1
+        assert races[0].threads == (0, 1)
+
     def test_sweep_race_deduplicated(self):
         # 8 racing elements, one finding: dedup is per (array, thread
         # pair, op pair), not per element.

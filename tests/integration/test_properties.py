@@ -257,7 +257,7 @@ class TestBarrierProperties:
         def worker(sim, bar, p):
             for r in range(rounds):
                 yield sim.delay(delays[p][r])
-                gen = yield bar.arrive()
+                gen = yield bar.wait(bar.notify())
                 observed[p].append(gen)
 
         for p in range(parties):

@@ -181,7 +181,7 @@ class TestBarrierFailStop:
         bar = SimBarrier(sim, parties=3)
         crossed = []
         def member(i):
-            yield bar.arrive(party=i)
+            yield bar.wait(bar.notify(i))
             crossed.append(i)
         sim.spawn(member(0))
         sim.spawn(member(1))  # party 2 never arrives: it is dead
@@ -194,7 +194,7 @@ class TestBarrierFailStop:
         bar = SimBarrier(sim, parties=3)
         crossed = []
         def member(i):
-            yield bar.arrive(party=i)
+            yield bar.wait(bar.notify(i))
             crossed.append(i)
         dead = sim.spawn(member(0))  # arrives, then dies while blocked
         def crash():
@@ -215,7 +215,7 @@ class TestBarrierFailStop:
         crossed = []
         def member(i):
             for _ in range(2):  # two generations back to back
-                yield bar.arrive(party=i)
+                yield bar.wait(bar.notify(i))
             crossed.append(i)
         sim.spawn(member(0))
         sim.spawn(member(1))
@@ -234,7 +234,7 @@ class TestBarrierFailStop:
         bar = SimBarrier(sim, parties=3)
         crossed = []
         def member(i):
-            yield bar.arrive(party=i)
+            yield bar.wait(bar.notify(i))
             crossed.append(i)
         victim = sim.spawn(member(0))
         sim.spawn(member(1))
@@ -244,7 +244,7 @@ class TestBarrierFailStop:
         sim.schedule_at(1.0, crash)
         def late_member():
             yield sim.delay(2.0)
-            yield bar.arrive(party=2)
+            yield bar.wait(bar.notify(2))
             crossed.append(2)
         sim.spawn(late_member())
         sim.run()

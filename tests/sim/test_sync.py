@@ -56,7 +56,7 @@ class TestSimBarrier:
 
         def worker(sim, bar, arrive_at):
             yield sim.delay(arrive_at)
-            yield bar.arrive()
+            yield bar.wait(bar.notify())
             times.append(sim.now)
 
         for t in (1.0, 2.0, 5.0):
@@ -72,7 +72,7 @@ class TestSimBarrier:
         def worker(sim, bar, name, pace):
             for i in range(3):
                 yield sim.delay(pace)
-                gen = yield bar.arrive()
+                gen = yield bar.wait(bar.notify())
                 log.append((name, i, gen))
 
         sim.spawn(worker(sim, bar, "fast", 1.0))
@@ -85,7 +85,7 @@ class TestSimBarrier:
         bar = SimBarrier(sim, parties=1)
 
         def worker(sim, bar):
-            yield bar.arrive()
+            yield bar.wait(bar.notify())
             return sim.now
 
         p = sim.spawn(worker(sim, bar))
@@ -98,10 +98,10 @@ class TestSimBarrier:
 
     def test_over_arrival_detected(self, sim):
         bar = SimBarrier(sim, parties=2)
-        bar.arrive()
+        bar.notify()
         bar._arrived = 2  # simulate a missed release bug
         with pytest.raises(SimulationError, match="arrivals"):
-            bar.arrive()
+            bar.notify()
 
     def test_release_wakes_waiters_before_the_last_arriver(self, sim):
         bar = SimBarrier(sim, parties=3)
@@ -109,7 +109,7 @@ class TestSimBarrier:
 
         def member(i, delay):
             yield sim.delay(delay)
-            yield bar.arrive(party=i)
+            yield bar.wait(bar.notify(i))
             order.append(i)
 
         for i, delay in ((0, 1.0), (1, 2.0), (2, 3.0)):

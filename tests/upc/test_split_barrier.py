@@ -1,13 +1,16 @@
 """The split-phase barrier: ``upc_notify`` / ``upc_wait``.
 
-Both run on a :class:`~repro.sim.SimBarrier` (``notify`` returns the
-generation joined, ``wait`` blocks on it); the UPC program keeps each
-thread's pending generation and rejects notify/wait out of order.
+Both run on the world team's :class:`~repro.sim.SimBarrier`, the one
+``upc_barrier`` uses (``notify`` returns the generation joined, ``wait``
+blocks on it); the UPC program keeps each thread's pending generation
+and rejects notify/wait out of order.
 """
 
 import pytest
 
 from repro.errors import UpcError
+from repro.obs import names
+from repro.obs.session import instrument
 from repro.sim import SimBarrier, Simulator
 from tests.upc.conftest import make_program
 
@@ -40,6 +43,20 @@ class TestSplitPhaseBarrier:
         err = _run_misuse(main)
         assert isinstance(err.__cause__, UpcError)
         assert "upc_notify before matching upc_wait" in str(err.__cause__)
+
+    def test_barrier_between_notify_and_wait_rejected(self):
+        # One world barrier: a upc_barrier here would arrive a second
+        # time in the pending generation and release it early.
+        def main(upc):
+            yield from upc.barrier_notify()
+            yield from upc.barrier()
+
+        with instrument("test", sanitize=True) as session:
+            err = _run_misuse(main)
+        assert isinstance(err.__cause__, UpcError)
+        what = "upc_barrier between upc_notify and upc_wait"
+        assert what in str(err.__cause__)
+        assert any(what in f.message for f in session.findings)
 
     def test_release_on_last_notify(self, sim):
         bar = SimBarrier(sim, 2)
@@ -123,6 +140,43 @@ class TestUpcNotifyWait:
             prog.run(main)
 
 
+class TestMixedBarrierForms:
+    """``upc_barrier`` is ``upc_notify`` + ``upc_wait``: threads may mix."""
+
+    @pytest.mark.parametrize("threads", [2, 4])
+    def test_mixed_forms_meet(self, threads):
+        def main(upc):
+            for phase in range(3):
+                if (upc.MYTHREAD + phase) % 2:
+                    yield from upc.barrier_notify()
+                    yield from upc.compute(1e-5)
+                    yield from upc.barrier_wait()
+                else:
+                    yield from upc.barrier()
+            return upc.MYTHREAD
+
+        with instrument("test", sanitize=True) as session:
+            res = make_program(threads=threads).run(main)
+        assert res.returns == list(range(threads))
+        assert session.findings == []
+
+    def test_mixed_forms_order_accesses(self):
+        def main(upc):
+            arr = yield from upc.all_alloc(4)
+            if upc.MYTHREAD == 0:
+                yield from arr.write_elem(upc, 0, 1.0)
+                yield from upc.barrier()
+            else:
+                yield from upc.barrier_notify()
+                yield from upc.barrier_wait()
+                yield from arr.read_elem(upc, 0)
+            yield from upc.barrier()
+
+        with instrument("test", sanitize=True) as session:
+            make_program(threads=2).run(main)
+        assert session.findings == []
+
+
 class TestSplitPhaseFailStop:
     """drop_party: crashed threads must not strand a split-phase pair."""
 
@@ -182,3 +236,25 @@ class TestSplitPhaseFailStop:
         res = prog.run(main)
         assert res.returns[0] == 0 and res.returns[1] == 1
         assert res.returns[2] is None and res.returns[3] is None
+
+    def test_crash_between_notify_and_wait_releases_barrier(self):
+        # Thread 2 dies between its upc_notify and upc_wait, thread 3
+        # before it notifies; survivors blocked in upc_barrier cross once
+        # the crash drops the two seats, one per dead thread.
+        prog = make_program(threads=4, nodes=2, threads_per_node=2,
+                            faults="crash:node=1,at=5e-5")
+
+        def main(upc):
+            if upc.MYTHREAD == 2:
+                yield from upc.barrier_notify()
+            if upc.MYTHREAD >= 2:
+                yield from upc.compute(1e-4)  # killed here
+                yield from upc.barrier_wait()
+            else:
+                yield from upc.barrier()  # blocked when the crash fires
+                yield from upc.barrier()
+            return upc.MYTHREAD
+
+        res = prog.run(main)
+        assert res.returns == [0, 1, None, None]
+        assert res.stats.get_count(names.FAULTS_BARRIER_SEATS_DROPPED) == 2
