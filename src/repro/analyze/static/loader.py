@@ -175,7 +175,6 @@ class ModuleInfo:
                 stack.extend(ast.iter_child_nodes(node))
 
     def _collect_imports(self) -> None:
-        package = self.name.rsplit(".", 1)[0] if "." in self.name else ""
         for node in ast.walk(self.tree):
             if isinstance(node, ast.Import):
                 for alias in node.names:

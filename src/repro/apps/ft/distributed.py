@@ -444,7 +444,6 @@ def run_ft(
             binding="sockets" if (omp_threads or threads_per_process > 1) else "compact",
         )
         res = prog.run(_ft_upc_main, cfg, state)
-        net = prog.net_params
     elif model == "mpi":
         if variant != "split" or omp_threads:
             raise ValueError("the MPI comparator is split-phase, no sub-threads")
@@ -457,7 +456,6 @@ def run_ft(
             conduit=conduit,
         )
         res = prog.run(_ft_mpi_main, cfg, state)
-        net = None
     else:
         raise ValueError(f"unknown model {model!r}")
 

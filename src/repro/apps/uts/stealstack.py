@@ -8,7 +8,7 @@ per-thread statistics Table 3.2 reports.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.apps.uts.tree import Node
 

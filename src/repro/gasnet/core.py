@@ -14,7 +14,7 @@ system.  The *backend* determines two things the whole thesis turns on:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Generator, List, Optional, Sequence
 
 from repro.errors import EndpointFailedError, GasnetError, MessageCorruptedError

@@ -10,7 +10,7 @@ init-vs-waitsync breakdown.
 
 from __future__ import annotations
 
-from typing import Generator, Optional
+from typing import Generator
 
 from repro.errors import GasnetError
 from repro.gasnet.core import GasnetRuntime

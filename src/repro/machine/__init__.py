@@ -22,7 +22,7 @@ from repro.machine.topology import (
 from repro.machine.memory import MemoryParams, MemorySystem, SmtCore
 from repro.machine.affinity import (
     AffinityMask,
-    BindPolicy,
+    bind_by_core,
     bind_compact,
     bind_round_robin_sockets,
     bind_unbound,
@@ -31,7 +31,6 @@ from repro.machine import presets
 
 __all__ = [
     "AffinityMask",
-    "BindPolicy",
     "Core",
     "Locality",
     "MachineSpec",
@@ -43,6 +42,7 @@ __all__ = [
     "ProcessingUnit",
     "SmtCore",
     "Socket",
+    "bind_by_core",
     "bind_compact",
     "bind_round_robin_sockets",
     "bind_unbound",

@@ -2,32 +2,36 @@
 
 The thesis binds UPC processes cyclically to ccNUMA sockets with
 ``numactl`` and lets sub-threads inherit the parent's mask (§4.3.2).
-This module reproduces that machinery:
+This module is the one home of that machinery; both launchers call it.
+Each binder maps ``nranks`` block-distributed ranks to one mask apiece:
 
 * :class:`AffinityMask` — the set of PUs a rank may run on.
-* :func:`bind_round_robin_sockets` — the paper's default: rank *i* on a
-  node gets that node's socket ``i % sockets``, sub-threads stay on-chip.
-* :func:`bind_compact` — one PU per rank, filling cores before SMT
-  siblings (the layout used for pure-UPC runs).
-* :func:`bind_unbound` — no binding: every rank may run anywhere on its
-  node, modelling the OS scheduler.  First-touch placement then lands all
-  of a rank's memory on the allocating thread's socket, which is what
-  makes the un-bound ``1×8`` configuration in Table 4.1 slow.
+* :func:`bind_compact` — ``UpcProgram``'s default ``"compact"``: one PU
+  per rank, consecutive local ranks cycling the node's sockets before
+  its cores, SMT siblings last.
+* :func:`bind_round_robin_sockets` — ``"sockets"``: rank *i* on a node
+  gets that node's socket ``i % sockets``, and ranks sharing a socket
+  split its cores, so their sub-threads stay on-chip and never collide.
+* :func:`bind_unbound` — ``"unbound"``: every rank may run anywhere on
+  its node, modelling the OS scheduler.  First-touch placement then lands
+  all of a rank's memory on the allocating thread's socket, which is
+  what makes the un-bound ``1×8`` configuration in Table 4.1 slow.
+* :func:`bind_by_core` — ``MpiProgram``'s layout: one PU per rank,
+  filling the node's cores in order, SMT siblings last.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import AffinityError
 from repro.machine.topology import MachineTopology
 
 __all__ = [
     "AffinityMask",
-    "BindPolicy",
-    "Placement",
     "assign_ranks_to_nodes",
+    "bind_by_core",
     "bind_compact",
     "bind_round_robin_sockets",
     "bind_unbound",
@@ -64,28 +68,6 @@ class AffinityMask:
         return AffinityMask(common)
 
 
-@dataclass(frozen=True)
-class Placement:
-    """Per-rank affinity masks for one program launch."""
-
-    masks: tuple  # tuple[AffinityMask, ...]
-    policy: str
-
-    def __len__(self) -> int:
-        return len(self.masks)
-
-    def mask(self, rank: int) -> AffinityMask:
-        try:
-            return self.masks[rank]
-        except IndexError:
-            raise AffinityError(
-                f"rank {rank} out of range ({len(self.masks)} ranks placed)"
-            ) from None
-
-    def home_pu(self, rank: int) -> int:
-        return self.masks[rank].primary
-
-
 def assign_ranks_to_nodes(
     topo: MachineTopology, nranks: int, per_node: Optional[int] = None
 ) -> List[int]:
@@ -109,63 +91,100 @@ def assign_ranks_to_nodes(
     return [rank // per_node for rank in range(nranks)]
 
 
-BindPolicy = str  # "sockets" | "compact" | "unbound"
+def _local_ranks(topo: MachineTopology, nranks: int, per_node: Optional[int]):
+    """Yield ``(node, local rank)`` for each rank of the block layout."""
+    seen: dict[int, int] = {}
+    for n in assign_ranks_to_nodes(topo, nranks, per_node):
+        local = seen.get(n, 0)
+        seen[n] = local + 1
+        yield topo.nodes[n], local
 
 
-def bind_round_robin_sockets(
-    topo: MachineTopology, nranks: int, per_node: Optional[int] = None
-) -> Placement:
-    """numactl-style: local rank *i* bound to socket ``i % sockets`` of its node."""
-    node_of = assign_ranks_to_nodes(topo, nranks, per_node)
-    sockets_per_node = topo.spec.node.sockets
+def _one_pu_per_rank(
+    topo: MachineTopology, nranks: int, per_node: Optional[int], core_order
+) -> List[AffinityMask]:
+    """One PU per rank: local rank *i* takes core ``i % ncores`` of
+    ``core_order(node)`` and, once every core is taken, its SMT siblings."""
     masks = []
-    local_rank: dict[int, int] = {}
-    for rank in range(nranks):
-        node = topo.nodes[node_of[rank]]
-        lr = local_rank.get(node.index, 0)
-        local_rank[node.index] = lr + 1
-        sock = topo.sockets[node.socket_indices[lr % sockets_per_node]]
-        masks.append(AffinityMask(sock.pu_indices))
-    return Placement(tuple(masks), policy="sockets")
+    for node, lr in _local_ranks(topo, nranks, per_node):
+        cores = core_order(node)
+        core = topo.cores[cores[lr % len(cores)]]
+        smt = lr // len(cores)
+        if smt >= len(core.pu_indices):
+            raise AffinityError(
+                f"node {node.index} oversubscribed: {lr + 1} ranks for "
+                f"{len(node.pu_indices)} PUs"
+            )
+        masks.append(AffinityMask((core.pu_indices[smt],)))
+    return masks
 
 
 def bind_compact(
     topo: MachineTopology, nranks: int, per_node: Optional[int] = None
-) -> Placement:
-    """One PU per rank: fill distinct cores of a node first, SMT siblings last.
+) -> List[AffinityMask]:
+    """One PU per rank, cycling the node's sockets before its cores.
 
-    Matches how the paper runs pure-UPC configurations (one process per
-    core, HyperThreads used only at the 2-threads-per-core design point).
+    The thesis pins processes "cyclically ... on independent ccNUMA
+    nodes (CPU sockets) using numactl by default" (§4.3.2): consecutive
+    local ranks alternate sockets, then take each socket's next core,
+    SMT siblings only once every core is taken.
     """
-    node_of = assign_ranks_to_nodes(topo, nranks, per_node)
-    masks = []
-    local_rank: dict[int, int] = {}
-    for rank in range(nranks):
-        node = topo.nodes[node_of[rank]]
-        lr = local_rank.get(node.index, 0)
-        local_rank[node.index] = lr + 1
-        ncores = len(node.core_indices)
-        smt = lr // ncores
-        core_slot = lr % ncores
-        core = topo.cores[node.core_indices[core_slot]]
-        if smt >= len(core.pu_indices):
-            raise AffinityError(
-                f"node {node.index} oversubscribed: local rank {lr} but only "
-                f"{len(node.pu_indices)} PUs"
-            )
-        masks.append(AffinityMask((core.pu_indices[smt],)))
-    return Placement(tuple(masks), policy="compact")
+
+    def socket_cycling(node):
+        sockets = (topo.sockets[s].core_indices for s in node.socket_indices)
+        return [core for cores in zip(*sockets) for core in cores]
+
+    return _one_pu_per_rank(topo, nranks, per_node, socket_cycling)
+
+
+def bind_by_core(
+    topo: MachineTopology, nranks: int, per_node: Optional[int] = None
+) -> List[AffinityMask]:
+    """One PU per rank, filling the node's cores in order, SMT siblings last."""
+    return _one_pu_per_rank(topo, nranks, per_node, lambda node: node.core_indices)
+
+
+def bind_round_robin_sockets(
+    topo: MachineTopology, nranks: int, per_node: Optional[int] = None
+) -> List[AffinityMask]:
+    """numactl-style: local rank *i* bound to socket ``i % sockets`` of its node.
+
+    Ranks sharing a socket split its cores into contiguous chunks, so
+    their sub-threads never collide; once a socket holds more ranks than
+    cores, its ranks take single PUs round-robin.
+    """
+    nsock = topo.spec.node.sockets
+    by_socket: dict[int, list[int]] = {}
+    for rank, (node, lr) in enumerate(_local_ranks(topo, nranks, per_node)):
+        by_socket.setdefault(node.socket_indices[lr % nsock], []).append(rank)
+    masks: List[Optional[AffinityMask]] = [None] * nranks
+    for sock, ranks in by_socket.items():
+        socket = topo.sockets[sock]
+        cores = socket.core_indices
+        if len(ranks) <= len(cores):
+            chunk, extra = divmod(len(cores), len(ranks))
+            pos = 0
+            for i, rank in enumerate(ranks):
+                take = chunk + (1 if i < extra else 0)
+                masks[rank] = AffinityMask(tuple(
+                    pu for c in cores[pos:pos + take] for pu in topo.cores[c].pu_indices
+                ))
+                pos += take
+        else:
+            pus = socket.pu_indices
+            for i, rank in enumerate(ranks):
+                masks[rank] = AffinityMask((pus[i % len(pus)],))
+    return masks  # type: ignore[return-value]
 
 
 def bind_unbound(
     topo: MachineTopology, nranks: int, per_node: Optional[int] = None
-) -> Placement:
+) -> List[AffinityMask]:
     """No binding: each rank may run on any PU of its node."""
-    node_of = assign_ranks_to_nodes(topo, nranks, per_node)
-    masks = [
-        AffinityMask(topo.nodes[node_of[rank]].pu_indices) for rank in range(nranks)
+    return [
+        AffinityMask(node.pu_indices)
+        for node, _ in _local_ranks(topo, nranks, per_node)
     ]
-    return Placement(tuple(masks), policy="unbound")
 
 
 def subthread_pus(topo: MachineTopology, mask: AffinityMask, count: int) -> List[int]:

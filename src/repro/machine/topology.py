@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List, Optional
+from typing import Iterator, List
 
 from repro.errors import TopologyError
 

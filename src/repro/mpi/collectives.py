@@ -15,7 +15,7 @@ All are SPMD generators: every rank calls with its own context.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.errors import MpiError
 from repro.mpi.comm import MpiRank

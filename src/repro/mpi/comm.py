@@ -17,11 +17,11 @@ SPMD benchmarks here require (no wildcards).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, Optional
 
 from repro.errors import MpiError
 from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation
-from repro.machine.affinity import assign_ranks_to_nodes, subthread_pus
+from repro.machine.affinity import bind_by_core
 from repro.machine.memory import MemorySystem
 from repro.machine.presets import PlatformPreset, generic_smp
 from repro.network.conduits import conduit as lookup_conduit
@@ -88,21 +88,11 @@ class MpiProgram:
         if ranks_per_node is None:
             ranks_per_node = -(-ranks // self.topo.total_nodes)
         self.ranks_per_node = ranks_per_node
-        node_of = assign_ranks_to_nodes(self.topo, ranks, per_node=ranks_per_node)
-        locations: List[ThreadLocation] = []
-        per_node_count: Dict[int, int] = {}
-        for r in range(ranks):
-            node = self.topo.nodes[node_of[r]]
-            lr = per_node_count.get(node.index, 0)
-            per_node_count[node.index] = lr + 1
-            ncores = len(node.core_indices)
-            core = self.topo.cores[node.core_indices[lr % ncores]]
-            smt = lr // ncores
-            if smt >= len(core.pu_indices):
-                raise MpiError(f"node {node.index} oversubscribed at rank {r}")
-            locations.append(
-                ThreadLocation(r, node.index, core.pu_indices[smt], process_id=r)
-            )
+        locations = [
+            ThreadLocation(r, self.topo.pu(mask.primary).node_index, mask.primary,
+                           process_id=r)
+            for r, mask in enumerate(bind_by_core(self.topo, ranks, ranks_per_node))
+        ]
         # OpenMPI's sm transport: intra-node messages bypass the NIC.
         backend = BackendConfig(
             mode="processes", pshm=True,

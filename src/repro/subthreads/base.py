@@ -12,7 +12,7 @@ style that load-balances irregular work at extra per-task cost).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, List, Optional, Sequence
+from typing import Callable, Generator, Optional, Sequence
 
 from repro.errors import SubthreadError
 from repro.machine.affinity import subthread_pus

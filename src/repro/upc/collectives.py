@@ -15,7 +15,7 @@ log-P software collectives.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Generator, Optional
+from typing import Any, Callable, Generator
 
 from repro.errors import UpcError
 from repro.gasnet.team import Team

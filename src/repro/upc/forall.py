@@ -10,7 +10,7 @@ cost-free, like the C construct's loop-control — used as::
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, Union
 
 from repro.errors import UpcError
 from repro.upc.shared import SharedArray

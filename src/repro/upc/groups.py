@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from typing import Dict, Generator, Optional
 
-from repro.errors import UpcError
 from repro.gasnet.team import Team
 from repro.upc.pointers import PointerTable
 

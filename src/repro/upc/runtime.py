@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional, Sequence
+from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional
 
 from repro.errors import UpcError
 from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation, extended
 from repro.gasnet.extended import Handle
 from repro.machine.affinity import (
     AffinityMask,
-    assign_ranks_to_nodes,
     bind_compact,
     bind_round_robin_sockets,
     bind_unbound,
@@ -31,59 +30,21 @@ from repro.machine.topology import MachineTopology
 from repro.network.conduits import conduit as lookup_conduit
 from repro.obs import names
 from repro.obs.session import arm
-from repro.sim import Event, Simulator, SplittableRNG, StatsCollector
+from repro.sim import Event, SimBarrier, Simulator, SplittableRNG, StatsCollector
 
-__all__ = ["UpcProgram", "Upc", "ProgramResult", "CollectiveGate"]
+__all__ = ["UpcProgram", "Upc", "ProgramResult"]
 
 #: Base software cost of one upc_barrier call per thread.
 BARRIER_BASE_COST = 0.5e-6
 #: Additional per-round cost of the inter-node dissemination phase.
 BARRIER_NETWORK_ROUND = 3.0e-6
 
-
-class CollectiveGate:
-    """A barrier-with-data: every thread submits, one function combines.
-
-    Used for operations UPC performs collectively at runtime level
-    (``upc_all_alloc``, team splits): each thread calls :meth:`submit`
-    with its payload; once all ``parties`` payloads of one generation are
-    in, ``combine(payloads_by_thread)`` runs once and every submitter's
-    event completes with the combined result.
-    """
-
-    def __init__(self, sim: Simulator, parties: int):
-        self.sim = sim
-        self.parties = parties
-        self._pending: Dict[str, dict] = {}
-
-    def submit(
-        self, tag: str, thread: int, payload: Any, combine: Callable[[dict], Any]
-    ) -> Event:
-        slot = self._pending.get(tag)
-        if slot is None:
-            slot = {"payloads": {}, "events": {}, "combine": combine}
-            self._pending[tag] = slot
-        if thread in slot["payloads"]:
-            sanitizer = self.sim.sanitizer
-            if sanitizer.enabled:
-                sanitizer.record_collective_misuse(
-                    thread,
-                    f"submitted twice to collective {tag!r} (missing "
-                    "barrier between collectives?)",
-                )
-            raise UpcError(
-                f"thread {thread} submitted twice to collective {tag!r} "
-                "(missing barrier between collectives?)"
-            )
-        ev = Event(self.sim)
-        slot["payloads"][thread] = payload
-        slot["events"][thread] = ev
-        if len(slot["payloads"]) == self.parties:
-            del self._pending[tag]
-            result = slot["combine"](slot["payloads"])
-            for t_ev in slot["events"].values():
-                t_ev.succeed(result)
-        return ev
+#: ``UpcProgram(binding=...)`` names and the binder each maps to.
+BINDERS = {
+    "compact": bind_compact,
+    "sockets": bind_round_robin_sockets,
+    "unbound": bind_unbound,
+}
 
 
 @dataclass
@@ -149,7 +110,7 @@ class UpcProgram:
         if threads < 1:
             raise UpcError(f"threads must be >= 1, got {threads}")
         if threads_per_process < 1:
-            raise UpcError(f"threads_per_process must be >= 1")
+            raise UpcError("threads_per_process must be >= 1")
         if threads % threads_per_process:
             raise UpcError(
                 f"threads ({threads}) not divisible by threads_per_process "
@@ -209,7 +170,11 @@ class UpcProgram:
         #: Per thread, the world-barrier generation its last ``upc_notify``
         #: joined (None once waited).
         self.pending_notify: List[Optional[int]] = [None] * threads
-        self.gate = CollectiveGate(self.sim, threads)
+        #: Runtime collectives (``upc_all_alloc``, team splits): one
+        #: generation of this barrier per call, with its ``collective_slot``
+        #: ``{generation, tag, payloads, result}``.
+        self.collectives = SimBarrier(self.sim, threads, name="collective")
+        self.collective_slot: Optional[dict] = None
         self._locks: Dict[object, Any] = {}
         self._shared_heap: List[Any] = []
         self._flags: Dict[object, Event] = {}
@@ -219,126 +184,35 @@ class UpcProgram:
 
     def _place_threads(self) -> List[ThreadLocation]:
         """Place processes and threads; also fills ``self.masks`` (the
-        per-UPC-thread affinity mask that sub-threads inherit)."""
-        topo, threads = self.topo, self.threads
-        tpn, tpp = self.threads_per_node, self.threads_per_process
-        node_of = assign_ranks_to_nodes(topo, threads, per_node=tpn)
-        nprocs = threads // tpp
-        procs_per_node = tpn // tpp
-        proc_masks = self._place_processes(nprocs, procs_per_node)
+        per-UPC-thread affinity mask that sub-threads inherit).
+
+        The binding policy places whole OS processes (see
+        :mod:`repro.machine.affinity`); a process's threads then spread
+        over its mask, cores first.
+        """
+        try:
+            bind = BINDERS[self.binding]
+        except KeyError:
+            raise UpcError(f"unknown binding {self.binding!r}") from None
+        topo, tpp = self.topo, self.threads_per_process
+        procs_per_node = self.threads_per_node // tpp
+        proc_masks = bind(topo, self.threads // tpp, procs_per_node)
         locations: List[ThreadLocation] = []
         self.masks: List[AffinityMask] = []
-        per_node_proc: Dict[int, int] = {}
-        for p in range(nprocs):
-            mask = proc_masks[p]
-            node = node_of[p * tpp]
-            local_proc = per_node_proc.get(node, 0)
-            per_node_proc[node] = local_proc + 1
+        for p, mask in enumerate(proc_masks):
+            node = topo.pu(mask.primary).node_index
             ordered = subthread_pus(topo, mask, len(mask.pus))
             if self.binding == "unbound":
                 # distinct start PUs for co-resident unbound processes
+                local_proc = p % procs_per_node
                 start = (local_proc * tpp) % len(ordered)
                 ordered = ordered[start:] + ordered[:start]
-            pus = [ordered[i % len(ordered)] for i in range(tpp)]
-            for i, pu in enumerate(pus):
-                t = p * tpp + i
-                locations.append(ThreadLocation(t, node_of[t], pu, process_id=p))
+            for i in range(tpp):
+                locations.append(ThreadLocation(
+                    p * tpp + i, node, ordered[i % len(ordered)], process_id=p
+                ))
                 self.masks.append(mask)
         return locations
-
-    def _place_processes(self, nprocs: int, procs_per_node: int) -> List[AffinityMask]:
-        """One affinity mask per OS process, by binding policy.
-
-        * ``compact`` — one core's PUs per process (cores first, SMT
-          siblings on oversubscription), pure-UPC style.
-        * ``sockets`` — numactl round-robin over sockets; processes
-          sharing a socket partition its cores so their sub-threads never
-          collide.
-        * ``unbound`` — the whole node; first-touch then lands all of a
-          process's memory on its (arbitrary) starting socket, the
-          Table 4.1 anti-pattern.
-        """
-        topo = self.topo
-        node_of = assign_ranks_to_nodes(topo, nprocs, per_node=procs_per_node)
-        if self.binding == "compact":
-            # one core's PU per process, distributing consecutive local
-            # ranks round-robin over sockets — the thesis pins processes
-            # "cyclically ... on independent ccNUMA nodes (CPU sockets)
-            # using numactl by default" (§4.3.2)
-            masks = []
-            per_node_count: Dict[int, int] = {}
-            nsock = topo.spec.node.sockets
-            cps = topo.spec.node.cores_per_socket
-            for p in range(nprocs):
-                node = topo.nodes[node_of[p]]
-                lr = per_node_count.get(node.index, 0)
-                per_node_count[node.index] = lr + 1
-                sock_slot = lr % nsock
-                core_slot = (lr // nsock) % cps
-                smt = lr // (nsock * cps)
-                socket = topo.sockets[node.socket_indices[sock_slot]]
-                core = topo.cores[socket.core_indices[core_slot]]
-                if smt >= len(core.pu_indices):
-                    raise UpcError(
-                        f"node {node.index} oversubscribed: {lr + 1} processes "
-                        f"for {len(node.pu_indices)} PUs"
-                    )
-                masks.append(AffinityMask((core.pu_indices[smt],)))
-            return masks
-        if self.binding == "unbound":
-            masks = []
-            per_node_count = {}
-            for p in range(nprocs):
-                node = topo.nodes[node_of[p]]
-                lr = per_node_count.get(node.index, 0)
-                per_node_count[node.index] = lr + 1
-                # OS lands the process anywhere; model round-robin start PU
-                # but allow migration over the whole node.
-                pus = list(node.pu_indices)
-                start = pus[lr % len(pus)]
-                ordered = (start,) + tuple(pu for pu in pus if pu != start)
-                masks.append(AffinityMask(ordered))
-            return masks
-        if self.binding != "sockets":
-            raise UpcError(f"unknown binding {self.binding!r}")
-
-        # sockets: round-robin, partitioning each socket's cores among the
-        # processes that land on it.
-        sockets_per_node = topo.spec.node.sockets
-        by_socket: Dict[int, list] = {}
-        sock_of_proc: List[int] = []
-        per_node_count = {}
-        for p in range(nprocs):
-            node = topo.nodes[node_of[p]]
-            lr = per_node_count.get(node.index, 0)
-            per_node_count[node.index] = lr + 1
-            sock = node.socket_indices[lr % sockets_per_node]
-            sock_of_proc.append(sock)
-            by_socket.setdefault(sock, []).append(p)
-        masks: List[Optional[AffinityMask]] = [None] * nprocs
-        for sock, procs in by_socket.items():
-            socket = topo.sockets[sock]
-            cores = list(socket.core_indices)
-            k = len(procs)
-            if k <= len(cores):
-                # contiguous chunks of cores per process
-                chunk = len(cores) // k
-                extra = len(cores) % k
-                pos = 0
-                for i, p in enumerate(procs):
-                    take = chunk + (1 if i < extra else 0)
-                    my_cores = cores[pos:pos + take]
-                    pos += take
-                    pus = tuple(
-                        pu for c in my_cores for pu in topo.cores[c].pu_indices
-                    )
-                    masks[p] = AffinityMask(pus)
-            else:
-                # more processes than cores: round-robin PUs
-                pus = list(socket.pu_indices)
-                for i, p in enumerate(procs):
-                    masks[p] = AffinityMask((pus[i % len(pus)],))
-        return [m for m in masks]  # type: ignore[return-value]
 
     # -- fault handling ----------------------------------------------------
 
@@ -585,17 +459,36 @@ class Upc:
     # -- collective runtime services ----------------------------------------------
 
     def collective(self, tag: str, payload: Any, combine: Callable[[dict], Any]) -> Generator:
-        """Low-level barrier-with-data (used by allocs and group splits)."""
+        """Low-level barrier-with-data (used by allocs and group splits).
+
+        Every thread adds its payload to the current generation of the
+        collective barrier and waits for its release; the first thread
+        released runs ``combine(payloads_by_thread)`` once and every
+        thread returns that result.  All threads must pass the same
+        ``tag``.
+        """
+        program, me = self.program, self.MYTHREAD
         sanitizer = self.sim.sanitizer
+        barrier = program.collectives
+        slot = program.collective_slot
+        if slot is None or slot["generation"] != barrier.generation:
+            slot = program.collective_slot = {
+                "generation": barrier.generation, "tag": tag, "payloads": {},
+            }
+        elif slot["tag"] != tag:
+            what = f"collective {tag!r} while others are in {slot['tag']!r}"
+            if sanitizer.enabled:
+                sanitizer.record_collective_misuse(me, what)
+            raise UpcError(f"thread {me}: {what}")
         if sanitizer.enabled:
-            sanitizer.barrier_arrive(
-                ("collective", tag), self.MYTHREAD, range(self.THREADS)
-            )
-        ev = self.program.gate.submit(tag, self.MYTHREAD, payload, combine)
-        result = yield ev
+            sanitizer.barrier_arrive(("collective", tag), me, range(self.THREADS))
+        slot["payloads"][me] = payload
+        yield barrier.wait(barrier.notify(me))
+        if "result" not in slot:
+            slot["result"] = combine(slot["payloads"])
         if sanitizer.enabled:
-            sanitizer.barrier_pass(("collective", tag), self.MYTHREAD)
-        return result
+            sanitizer.barrier_pass(("collective", tag), me)
+        return slot["result"]
 
     def all_alloc(self, nelems: int, dtype=None, blocksize: Optional[int] = None,
                   backing: str = "real"):

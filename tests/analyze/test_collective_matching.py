@@ -126,20 +126,19 @@ class TestSplitPhaseMisuse:
 
 
 class TestCollectiveGate:
-    def test_double_submit_raises_and_reports(self):
+    """Runtime collectives: ``Upc.collective`` on the collective barrier."""
+
+    def test_mismatched_tags_raise_and_report(self):
         def main(upc):
-            if upc.MYTHREAD == 0:
-                gate = upc.program.gate
-                gate.submit("x", 0, None, lambda p: None)
-                gate.submit("x", 0, None, lambda p: None)
-            yield from upc.compute(0.0)
+            yield from upc.collective("ab"[upc.MYTHREAD], None, lambda p: None)
 
         with instrument("test", sanitize=True) as session:
             prog = make_program(threads=2)
-            with pytest.raises(Exception, match="submitted twice"):
+            with pytest.raises(Exception, match="collective 'b' while others "
+                                                "are in 'a'"):
                 prog.run(main)
         findings = coll_findings(session)
-        assert any("submitted twice to collective 'x'" in f.message
+        assert any("collective 'b' while others are in 'a'" in f.message
                    for f in findings)
 
     def test_collectives_and_allocs_clean(self):

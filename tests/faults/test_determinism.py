@@ -9,7 +9,6 @@ Two guarantees:
 """
 
 from repro.faults import FaultPlan
-from repro.upc import UpcProgram
 
 from tests.upc.conftest import make_program
 

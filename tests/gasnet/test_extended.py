@@ -4,7 +4,6 @@ import pytest
 
 from repro.errors import GasnetError
 from repro.gasnet import extended
-from repro.sim import Simulator
 
 from tests.gasnet.conftest import build_runtime
 

@@ -1,7 +1,5 @@
 """GASNet timeout + retransmit layer under injected message faults."""
 
-import math
-
 import pytest
 
 from repro.errors import EndpointFailedError, GasnetError

@@ -10,11 +10,15 @@ from repro.machine import (
     MachineSpec,
     MachineTopology,
     NodeSpec,
+    bind_by_core,
     bind_compact,
     bind_round_robin_sockets,
     bind_unbound,
 )
 from repro.machine.affinity import assign_ranks_to_nodes, subthread_pus
+from repro.machine.presets import generic_smp
+from repro.mpi import MpiProgram
+from repro.upc import UpcProgram
 
 
 def make_topo(nodes=2, sockets=2, cores=4, smt=2):
@@ -71,44 +75,61 @@ class TestRankAssignment:
 class TestSocketBinding:
     def test_alternating_sockets(self):
         topo = make_topo(nodes=1, sockets=2, cores=4, smt=2)
-        placement = bind_round_robin_sockets(topo, 4, per_node=4)
-        socks = [topo.socket_of(placement.home_pu(r)).index for r in range(4)]
+        masks = bind_round_robin_sockets(topo, 4, per_node=4)
+        socks = [topo.socket_of(m.primary).index for m in masks]
         assert socks == [0, 1, 0, 1]
 
     def test_mask_covers_whole_socket(self):
         topo = make_topo(nodes=1)
-        placement = bind_round_robin_sockets(topo, 2, per_node=2)
-        assert placement.mask(0).pus == topo.sockets[0].pu_indices
-        assert placement.mask(1).pus == topo.sockets[1].pu_indices
+        masks = bind_round_robin_sockets(topo, 2, per_node=2)
+        assert [m.pus for m in masks] == [
+            topo.sockets[0].pu_indices, topo.sockets[1].pu_indices
+        ]
 
     def test_second_node_offsets(self):
         topo = make_topo(nodes=2, sockets=2, cores=4, smt=1)
-        placement = bind_round_robin_sockets(topo, 4, per_node=2)
-        socks = [topo.socket_of(placement.home_pu(r)).index for r in range(4)]
+        masks = bind_round_robin_sockets(topo, 4, per_node=2)
+        socks = [topo.socket_of(m.primary).index for m in masks]
         assert socks == [0, 1, 2, 3]
 
-    def test_rank_out_of_range(self):
-        topo = make_topo()
-        placement = bind_round_robin_sockets(topo, 2)
-        with pytest.raises(AffinityError):
-            placement.mask(2)
+    def test_ranks_sharing_a_socket_split_its_cores(self):
+        topo = make_topo(nodes=1, sockets=2, cores=4, smt=2)
+        masks = bind_round_robin_sockets(topo, 4, per_node=4)
+        cores = [sorted({topo.pu(p).core_index for p in m.pus}) for m in masks]
+        # ranks 0 and 2 share socket 0: two contiguous, disjoint chunks
+        assert cores[0] == [0, 1] and cores[2] == [2, 3]
+        assert cores[1] == [4, 5] and cores[3] == [6, 7]
+        assert all(len(m) == 4 for m in masks)  # both SMT siblings
+
+    def test_more_ranks_than_cores_take_single_pus(self):
+        topo = make_topo(nodes=1, sockets=2, cores=2, smt=2)
+        masks = bind_round_robin_sockets(topo, 6, per_node=6)
+        assert all(len(m) == 1 for m in masks)
+        # socket 0 holds ranks 0, 2 and 4 on its PUs in turn
+        assert [masks[r].primary for r in (0, 2, 4)] == [0, 1, 2]
 
 
 class TestCompactBinding:
     def test_cores_before_smt(self):
         topo = make_topo(nodes=1, sockets=2, cores=2, smt=2)  # 4 cores, 8 PUs
-        placement = bind_compact(topo, 8, per_node=8)
-        pus = [placement.home_pu(r) for r in range(8)]
+        masks = bind_compact(topo, 8, per_node=8)
+        pus = [m.primary for m in masks]
         # first 4 ranks on distinct cores (SMT index 0), next 4 on siblings
         smts = [topo.pu(p).smt_index for p in pus]
         assert smts == [0, 0, 0, 0, 1, 1, 1, 1]
         cores = [topo.pu(p).core_index for p in pus]
         assert cores[:4] == cores[4:]
 
+    def test_sockets_cycle_before_cores(self):
+        topo = make_topo(nodes=1, sockets=2, cores=4, smt=2)
+        masks = bind_compact(topo, 4, per_node=4)
+        assert [topo.socket_of(m.primary).index for m in masks] == [0, 1, 0, 1]
+        assert [topo.pu(m.primary).core_index for m in masks] == [0, 4, 1, 5]
+
     def test_each_rank_single_pu(self):
         topo = make_topo()
-        placement = bind_compact(topo, 4)
-        assert all(len(placement.mask(r)) == 1 for r in range(4))
+        masks = bind_compact(topo, 4)
+        assert all(len(m) == 1 for m in masks)
 
     def test_oversubscription_rejected(self):
         topo = make_topo(nodes=1, sockets=1, cores=2, smt=1)
@@ -116,12 +137,40 @@ class TestCompactBinding:
             bind_compact(topo, 3, per_node=3)
 
 
+class TestByCoreBinding:
+    def test_fills_cores_in_order(self):
+        topo = make_topo(nodes=1, sockets=2, cores=2, smt=2)
+        masks = bind_by_core(topo, 6, per_node=6)
+        assert [topo.pu(m.primary).core_index for m in masks] == [0, 1, 2, 3, 0, 1]
+        assert [topo.pu(m.primary).smt_index for m in masks] == [0, 0, 0, 0, 1, 1]
+
+    def test_oversubscription_rejected(self):
+        topo = make_topo(nodes=1, sockets=1, cores=2, smt=1)
+        with pytest.raises(AffinityError, match="oversubscribed"):
+            bind_by_core(topo, 3, per_node=3)
+
+
 class TestUnbound:
     def test_mask_is_whole_node(self):
         topo = make_topo(nodes=2)
-        placement = bind_unbound(topo, 2, per_node=1)
-        assert placement.mask(0).pus == topo.nodes[0].pu_indices
-        assert placement.mask(1).pus == topo.nodes[1].pu_indices
+        masks = bind_unbound(topo, 2, per_node=1)
+        assert [m.pus for m in masks] == [
+            topo.nodes[0].pu_indices, topo.nodes[1].pu_indices
+        ]
+
+
+class TestLaunchers:
+    """Both launchers place through the binders, so they share their errors."""
+
+    PRESET = generic_smp(nodes=1, sockets=1, cores_per_socket=2, smt_per_core=1)
+
+    def test_upc_oversubscription_rejected(self):
+        with pytest.raises(AffinityError, match="oversubscribed"):
+            UpcProgram(self.PRESET, threads=3, binding="compact")
+
+    def test_mpi_oversubscription_rejected(self):
+        with pytest.raises(AffinityError, match="oversubscribed"):
+            MpiProgram(self.PRESET, ranks=3)
 
 
 class TestSubthreadPus:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import MpiError
 from repro.machine.presets import generic_smp
-from repro.mpi import MpiParams, MpiProgram, collectives
+from repro.mpi import MpiProgram, collectives
 
 
 def make_mpi(ranks=4, nodes=2, ranks_per_node=None, **kwargs):

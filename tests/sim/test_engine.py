@@ -3,10 +3,8 @@
 import pytest
 
 from repro.sim import (
-    AllOf,
     AnyOf,
     Delay,
-    Event,
     ProcessFailure,
     SimulationError,
     Simulator,

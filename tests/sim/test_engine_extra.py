@@ -3,7 +3,7 @@ simultaneous events, failure bookkeeping."""
 
 import pytest
 
-from repro.sim import AnyOf, ProcessFailure, Simulator, Store
+from repro.sim import ProcessFailure, Simulator, Store
 
 
 @pytest.fixture

@@ -8,7 +8,6 @@ from repro.subthreads import (
     OpenMP,
     SubthreadParams,
     ThreadPool,
-    ThreadSafety,
     static_chunks,
 )
 from tests.upc.conftest import make_program

@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.errors import SubthreadError
 from repro.subthreads import OpenMP, ThreadSafety
 from tests.upc.conftest import make_program
 

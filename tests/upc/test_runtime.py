@@ -3,8 +3,7 @@
 import pytest
 
 from repro.errors import UpcError
-from repro.gasnet import BackendConfig
-from repro.upc import UpcProgram
+from repro.sim import ProcessFailure
 from tests.upc.conftest import make_program
 
 
@@ -209,6 +208,8 @@ class TestMemops:
 
 
 class TestCollectiveGate:
+    """Runtime collectives: ``Upc.collective`` on the collective barrier."""
+
     def test_all_alloc_returns_same_array(self):
         prog = make_program(threads=4)
 
@@ -229,6 +230,33 @@ class TestCollectiveGate:
 
         res = prog.run(main)
         assert res.returns == [(10, 20, False)] * 2
+
+    def test_combine_runs_once(self):
+        prog = make_program(threads=4)
+        calls = []
+
+        def combine(payloads):
+            calls.append(dict(payloads))
+            return sum(payloads.values())
+
+        def main(upc):
+            yield from upc.compute(upc.MYTHREAD * 1e-6)
+            return (yield from upc.collective("sum", upc.MYTHREAD, combine))
+
+        res = prog.run(main)
+        assert res.returns == [6] * 4
+        assert calls == [{0: 0, 1: 1, 2: 2, 3: 3}]
+
+    def test_mismatched_tags_rejected(self):
+        prog = make_program(threads=2)
+
+        def main(upc):
+            yield from upc.collective("ab"[upc.MYTHREAD], None, lambda p: None)
+
+        with pytest.raises(ProcessFailure) as failure:
+            prog.run(main)
+        assert isinstance(failure.value.__cause__, UpcError)
+        assert "collective 'b' while others are in 'a'" in str(failure.value)
 
 
 class TestRng:

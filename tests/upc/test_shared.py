@@ -142,7 +142,6 @@ class TestData:
 class TestCostedOps:
     def test_get_block_returns_data_and_takes_time(self):
         prog = make_program(threads=4)
-        arrs = {}
 
         def main(upc):
             arr = yield from upc.all_alloc(16, blocksize="block")
