@@ -432,9 +432,9 @@ def run_ft(
     )
     state = FtState(cls, threads, backing=backing)
 
+    nodes_needed = -(-threads // (threads_per_node or threads))
+    preset = preset or lehman(nodes=max(nodes_needed, 1))
     if model == "upc":
-        nodes_needed = -(-threads // (threads_per_node or threads))
-        preset = preset or lehman(nodes=max(nodes_needed, 1))
         prog = UpcProgram(
             preset,
             threads=threads,
@@ -449,8 +449,6 @@ def run_ft(
             raise ValueError("the MPI comparator is split-phase, no sub-threads")
         from repro.mpi import MpiProgram
 
-        nodes_needed = -(-threads // (threads_per_node or threads))
-        preset = preset or lehman(nodes=max(nodes_needed, 1))
         prog = MpiProgram(
             preset, ranks=threads, ranks_per_node=threads_per_node,
             conduit=conduit,

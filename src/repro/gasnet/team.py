@@ -4,19 +4,35 @@ The thesis cites the (then-unreleased) GASNet team extension as the
 natural substrate for UPC thread groups; here a :class:`Team` is an
 ordered subset of threads carrying a team barrier and split support.
 Collective *algorithms* (broadcast, exchange, reduce) live in
-:mod:`repro.upc.collectives` and take a team argument.
+:mod:`repro.upc.collectives` and take a team argument;
+:func:`binomial_tree` is the one tree shape both their broadcast and
+reduce and MPI's broadcast walk.
 """
 
 from __future__ import annotations
 
-from typing import Generator, Optional, Sequence
+from typing import Generator, List, Optional, Sequence, Tuple
 
 from repro.errors import GasnetError
 from repro.obs import names
 from repro.obs.tracer import thread_track
 from repro.sim import SimBarrier, Simulator
 
-__all__ = ["Team"]
+__all__ = ["Team", "binomial_tree"]
+
+
+def binomial_tree(rel: int, size: int) -> Tuple[Optional[int], List[int]]:
+    """Parent (None at the root, ``rel`` 0) and children of root-relative
+    rank ``rel``: the parent is ``rel`` minus its lowest set bit, the
+    children ``rel`` plus each smaller power of two below ``size``, in
+    ascending stride."""
+    children = []
+    stride = 1
+    while stride < size and not rel & stride:
+        if rel + stride < size:
+            children.append(rel + stride)
+        stride <<= 1
+    return (rel - stride if rel else None), children
 
 
 class Team:

@@ -2,8 +2,11 @@
 
 The thesis binds UPC processes cyclically to ccNUMA sockets with
 ``numactl`` and lets sub-threads inherit the parent's mask (§4.3.2).
-This module is the one home of that machinery; both launchers call it.
-Each binder maps ``nranks`` block-distributed ranks to one mask apiece:
+This module is the one home of that machinery; both launchers call it
+from their placement hook of the SPMD job base (:mod:`repro.gasnet.job`).
+Each binder maps ``nranks`` block-distributed ranks to one mask apiece,
+and all follow one rule: a node holding more ranks than PUs raises
+:class:`~repro.errors.AffinityError`.
 
 * :class:`AffinityMask` — the set of PUs a rank may run on.
 * :func:`bind_compact` — ``UpcProgram``'s default ``"compact"``: one PU
@@ -92,12 +95,19 @@ def assign_ranks_to_nodes(
 
 
 def _local_ranks(topo: MachineTopology, nranks: int, per_node: Optional[int]):
-    """Yield ``(node, local rank)`` for each rank of the block layout."""
+    """Yield ``(node, local rank)`` for each rank of the block layout,
+    raising once a node holds more ranks than PUs (every binder's rule)."""
     seen: dict[int, int] = {}
     for n in assign_ranks_to_nodes(topo, nranks, per_node):
         local = seen.get(n, 0)
         seen[n] = local + 1
-        yield topo.nodes[n], local
+        node = topo.nodes[n]
+        if local >= len(node.pu_indices):
+            raise AffinityError(
+                f"node {node.index} oversubscribed: {local + 1} ranks for "
+                f"{len(node.pu_indices)} PUs"
+            )
+        yield node, local
 
 
 def _one_pu_per_rank(
@@ -109,13 +119,7 @@ def _one_pu_per_rank(
     for node, lr in _local_ranks(topo, nranks, per_node):
         cores = core_order(node)
         core = topo.cores[cores[lr % len(cores)]]
-        smt = lr // len(cores)
-        if smt >= len(core.pu_indices):
-            raise AffinityError(
-                f"node {node.index} oversubscribed: {lr + 1} ranks for "
-                f"{len(node.pu_indices)} PUs"
-            )
-        masks.append(AffinityMask((core.pu_indices[smt],)))
+        masks.append(AffinityMask((core.pu_indices[lr // len(cores)],)))
     return masks
 
 
@@ -151,7 +155,7 @@ def bind_round_robin_sockets(
 
     Ranks sharing a socket split its cores into contiguous chunks, so
     their sub-threads never collide; once a socket holds more ranks than
-    cores, its ranks take single PUs round-robin.
+    cores, its ranks take single PUs in order.
     """
     nsock = topo.spec.node.sockets
     by_socket: dict[int, list[int]] = {}
@@ -173,7 +177,7 @@ def bind_round_robin_sockets(
         else:
             pus = socket.pu_indices
             for i, rank in enumerate(ranks):
-                masks[rank] = AffinityMask((pus[i % len(pus)],))
+                masks[rank] = AffinityMask((pus[i],))
     return masks  # type: ignore[return-value]
 
 

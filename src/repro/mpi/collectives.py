@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.errors import MpiError
+from repro.gasnet.team import binomial_tree
 from repro.mpi.comm import MpiRank
 
 __all__ = ["alltoall", "allreduce", "bcast"]
@@ -63,6 +64,7 @@ def allreduce(
         prog.flag((seq, "fold", me)).succeed(acc)
         yield from rank.recv(me - 1, tag=tag_base + pof2)
         result = yield prog.flag((seq, "result", me))
+        prog.drop_flag((seq, "result", me))
         return result
     if me < 2 * rem:
         other = yield from _recv_value(rank, me + 1, tag_base, (seq, "fold", me + 1))
@@ -77,6 +79,7 @@ def allreduce(
         sr = rank.sendrecv(partner, nbytes, partner, tag=tag_base + mask)
         yield from sr
         other = yield prog.flag((seq, "x", mask, partner))
+        prog.drop_flag((seq, "x", mask, partner))
         acc = op(acc, other)
         mask *= 2
 
@@ -89,6 +92,7 @@ def allreduce(
 def _recv_value(rank: MpiRank, src: int, tag: int, flag_key) -> Generator:
     yield from rank.recv(src, tag=tag)
     value = yield rank.program.flag(flag_key)
+    rank.program.drop_flag(flag_key)
     return value
 
 
@@ -109,18 +113,10 @@ def bcast(
     box = prog.flag((seq, "v"))
     if rel == 0 and not box.done:
         box.succeed(value)
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            parent = ((rel - mask) + root) % size
-            yield from rank.recv(parent, tag=tag)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child = rel + mask
-        if child < size:
-            yield from rank.send((child + root) % size, nbytes, tag=tag)
-        mask >>= 1
+    parent, children = binomial_tree(rel, size)
+    if parent is not None:
+        yield from rank.recv((parent + root) % size, tag=tag)
+    for child in reversed(children):
+        yield from rank.send((child + root) % size, nbytes, tag=tag)
     result = yield box
     return result

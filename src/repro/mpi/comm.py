@@ -17,18 +17,15 @@ SPMD benchmarks here require (no wildcards).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Generator, Optional
+from typing import Dict, Generator, List, Optional
 
 from repro.errors import MpiError
-from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation
+from repro.gasnet import BackendConfig, ThreadLocation
+from repro.gasnet.job import LocalWork, SpmdJob
 from repro.machine.affinity import bind_by_core
-from repro.machine.memory import MemorySystem
-from repro.machine.presets import PlatformPreset, generic_smp
-from repro.network.conduits import conduit as lookup_conduit
+from repro.machine.presets import PlatformPreset
 from repro.obs import names
-from repro.obs.session import arm
-from repro.sim import Event, Simulator, StatsCollector, Store
-from repro.upc.runtime import ProgramResult
+from repro.sim import Event, Simulator, Store
 
 __all__ = ["MpiParams", "MpiProgram", "MpiRank"]
 
@@ -61,8 +58,15 @@ class _Message:
         self.cts = Event(sim)         # receiver's clear-to-send (rendezvous)
 
 
-class MpiProgram:
-    """One simulated MPI job (mirrors :class:`~repro.upc.UpcProgram`)."""
+class MpiProgram(SpmdJob):
+    """One simulated MPI job: single-threaded rank processes on the SPMD
+    job base, placed core by core (:func:`~repro.machine.affinity.bind_by_core`)
+    and talking over OpenMPI's sm transport inside a node."""
+
+    error = MpiError
+    process_prefix = "rank"
+    rank_noun = "ranks"
+    world_name = "mpi_world"
 
     def __init__(
         self,
@@ -74,40 +78,29 @@ class MpiProgram:
     ):
         if ranks < 1:
             raise MpiError(f"ranks must be >= 1, got {ranks}")
-        self.preset = preset or generic_smp(nodes=2)
         self.ranks = ranks
         self.params = params or MpiParams()
-        self.sim = Simulator()
-        self.topo = self.preset.topology()
-        self.stats = StatsCollector(self.sim)
-        # Arm the instrumentation sinks before any stack layer is built
-        # (see UpcProgram); MPI runs are traced and profiled, never
-        # sanitized.
-        arm(self.sim, f"mpi x{ranks}", ranks)
-        self.mem = MemorySystem(self.sim, self.topo, self.preset.memory)
-        if ranks_per_node is None:
-            ranks_per_node = -(-ranks // self.topo.total_nodes)
-        self.ranks_per_node = ranks_per_node
-        locations = [
-            ThreadLocation(r, self.topo.pu(mask.primary).node_index, mask.primary,
-                           process_id=r)
-            for r, mask in enumerate(bind_by_core(self.topo, ranks, ranks_per_node))
-        ]
         # OpenMPI's sm transport: intra-node messages bypass the NIC.
-        backend = BackendConfig(
+        self.backend = BackendConfig(
             mode="processes", pshm=True,
             op_overhead=self.params.send_overhead,
             bypass_overhead=0.1e-6,
         )
-        net = lookup_conduit(conduit or self.preset.default_conduit)
-        self.gasnet = GasnetRuntime(
-            self.sim, self.topo, self.mem, net, locations, backend=backend,
-            stats=self.stats,
-        )
-        self.world = Team(self.sim, range(ranks), name="mpi_world")
+        # MPI runs are traced and profiled, never sanitized.
+        super().__init__(preset, ranks, ranks_per_node, conduit,
+                         label=f"mpi x{ranks}")
         self._match: Dict[tuple, Store] = {}
-        self._flags: Dict[object, Event] = {}
-        self._contexts = [MpiRank(self, r) for r in range(ranks)]
+
+    def _place(self, per_node: int) -> List[ThreadLocation]:
+        self.ranks_per_node = per_node
+        return [
+            ThreadLocation(r, self.topo.pu(mask.primary).node_index, mask.primary,
+                           process_id=r)
+            for r, mask in enumerate(bind_by_core(self.topo, self.ranks, per_node))
+        ]
+
+    def _new_context(self, rank: int) -> "MpiRank":
+        return MpiRank(self, rank)
 
     def match_queue(self, dst: int, src: int, tag: int) -> Store:
         key = (dst, src, tag)
@@ -116,41 +109,8 @@ class MpiProgram:
             q = self._match[key] = Store(self.sim, name=f"match{key}")
         return q
 
-    def flag(self, key: object) -> Event:
-        ev = self._flags.get(key)
-        if ev is None:
-            ev = self._flags[key] = Event(self.sim)
-        return ev
 
-    def run(self, main: Callable, *args: Any, **kwargs: Any) -> ProgramResult:
-        procs = [
-            self.sim.spawn(main(self._contexts[r], *args, **kwargs), name=f"rank{r}")
-            for r in range(self.ranks)
-        ]
-        self.sim.run()
-        if self.sim.tracer.enabled:
-            # Close still-open spans so the trace is complete even when
-            # the checks below raise.
-            self.sim.tracer.finalize(self.sim.now)
-        self.sim.raise_failures()
-        unfinished = [p.name for p in procs if not p.done]
-        if unfinished:
-            raise MpiError(f"deadlock: ranks never finished: {unfinished[:8]}")
-        leaked = self.stats.open_timers()
-        if leaked:
-            raise MpiError(
-                "phase timers still open at end of run — their elapsed "
-                f"time was never recorded: {leaked!r}"
-            )
-        return ProgramResult(
-            elapsed=self.sim.now,
-            returns=[p.result for p in procs],
-            stats=self.stats,
-            sim=self.sim,
-        )
-
-
-class MpiRank:
+class MpiRank(LocalWork):
     """Per-rank context: COMM_WORLD operations."""
 
     def __init__(self, program: MpiProgram, rank: int):
@@ -162,19 +122,7 @@ class MpiRank:
         self.gasnet = program.gasnet
         self.mem = program.mem
         self.pu = program.gasnet.location(rank).pu
-
-    # -- local work ---------------------------------------------------------
-
-    def compute(self, seconds: float) -> Generator:
-        yield self.mem.compute(self.pu, seconds)
-
-    def compute_flops(self, flops: float, efficiency: float = 0.25) -> Generator:
-        rate = self.mem.params.core_flops * efficiency
-        yield self.mem.compute(self.pu, flops / rate)
-
-    def local_stream(self, bytes_read: float, bytes_written: float) -> Generator:
-        sock = self.gasnet.segment_socket(self.rank)
-        yield from self.mem.stream(self.pu, bytes_read, bytes_written, sock)
+        self._home = rank
 
     def wtime(self) -> float:
         return self.sim.now

@@ -90,8 +90,8 @@ class CostProfiler:
     def _scheduling_layer(self, fn) -> str:
         """The layer that scheduled an event: first non-plumbing caller.
 
-        Walks outward from the engine's push site (``schedule_at``,
-        ``schedule_after`` or a process resume); a Delay created by
+        Walks outward from the engine's push site (``schedule_at``, also
+        under ``schedule_after``, or a process resume); a Delay created by
         the network attributes to the network, one created directly by
         app code to the app.  Falls back to the callback's own layer when
         the whole (bounded) walk is plumbing — e.g. engine-internal

@@ -3,14 +3,16 @@
 Instrumentation is off by default: every :class:`~repro.sim.Simulator`
 starts with the engine's shared off-sink as its tracer, sanitizer and
 profiler.  An :func:`instrument` context manager turns on the parts it
-is asked for.  While it is active, every
-:class:`~repro.upc.runtime.UpcProgram` (or
-:class:`~repro.mpi.comm.MpiProgram`) constructed calls :func:`arm`,
-which attaches to the program's simulator:
+is asked for.  While it is active, every SPMD job constructed (the
+shared base :class:`~repro.gasnet.job.SpmdJob` of
+:class:`~repro.upc.runtime.UpcProgram` and
+:class:`~repro.mpi.comm.MpiProgram`) calls :func:`arm`, which attaches
+to the program's simulator:
 
 * ``trace`` — a fresh :class:`~repro.obs.tracer.Tracer` per run;
 * ``sanitize`` — a fresh :class:`~repro.analyze.sanitizer.Sanitizer`
-  per UPC program (MPI programs stay unsanitized);
+  per job whose class sets ``sanitized`` (UPC programs; MPI programs
+  stay unsanitized);
 * ``profile`` — the session's one shared
   :class:`~repro.obs.profile.cost.CostProfiler`, while the session's
   :class:`~repro.obs.profile.host.HostSampler` samples the whole body
@@ -83,10 +85,10 @@ def arm(sim, label: str, threads: int, program=None) -> None:
     Call it once per program, after its ``StatsCollector`` exists (the
     sanitizer reads ``program.stats``) and before the memory system and
     fabric are built (they declare their trace tracks after the
-    ``threads`` thread tracks declared here).  ``program`` is the UPC
-    program to sanitize; None leaves the run unsanitized.  Outside a
-    session, and for every part the session leaves off, the simulator
-    keeps its off-sink.
+    ``threads`` thread tracks declared here).  ``program`` is the job to
+    sanitize; None leaves the run unsanitized.  Outside a session, and
+    for every part the session leaves off, the simulator keeps its
+    off-sink.
     """
     session = _ACTIVE
     if session is None:

@@ -411,14 +411,7 @@ class Simulator:
     def schedule_after(
         self, dt: float, fn: Callable, *args: Any, priority: int = 0
     ) -> None:
-        time = self.now + dt
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}"
-            )
-        heapq.heappush(self._heap, (time, priority, next(self._seq), fn, args))
-        if self.tracer.enabled or self.profiler.enabled:
-            self._tally_push(time, fn)
+        self.schedule_at(self.now + dt, fn, *args, priority=priority)
 
     def _tally_push(self, time: float, fn: Callable) -> None:
         """Instrumentation tallies of one heap push at ``time``.
@@ -446,9 +439,6 @@ class Simulator:
 
     def delay(self, dt: float) -> Delay:
         return Delay(self, dt)
-
-    #: Alias matching the common DES vocabulary.
-    timeout = delay
 
     def all_of(self, children: Iterable[Awaitable]) -> AllOf:
         return AllOf(self, children)

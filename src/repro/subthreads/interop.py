@@ -17,6 +17,7 @@ from typing import Generator, Optional
 
 from repro.errors import SubthreadError
 from repro.gasnet import extended
+from repro.gasnet.job import LocalWork
 from repro.sim import Resource
 
 __all__ = ["ThreadSafety", "SubthreadContext"]
@@ -31,12 +32,12 @@ class ThreadSafety(enum.Enum):
     MULTIPLE = "multiple"      #: any sub-thread, concurrently
 
 
-class SubthreadContext:
+class SubthreadContext(LocalWork):
     """What one sub-thread sees: its identity, core, and permitted services.
 
     Compute and memory streaming are always allowed (they are plain
-    shared-memory work).  UPC communication is gated by the job's
-    :class:`ThreadSafety` level.
+    shared-memory work, scaled by the runtime's ``work_inflation``).  UPC
+    communication is gated by the job's :class:`ThreadSafety` level.
     """
 
     def __init__(
@@ -55,28 +56,21 @@ class SubthreadContext:
         self.pu = pu
         self.safety = safety
         self._comm_mutex = comm_mutex
-        self._inflation = work_inflation
+        self.work_inflation = work_inflation
         self.sim = upc.sim
+        self.mem = upc.mem
+        self.gasnet = upc.gasnet
+        self._home = upc.MYTHREAD
 
-    # -- local work ---------------------------------------------------------
-
-    def compute(self, seconds: float) -> Generator:
-        yield self.upc.mem.compute(self.pu, seconds * self._inflation)
-
-    def compute_flops(self, flops: float, efficiency: float = 0.25) -> Generator:
-        rate = self.upc.mem.params.core_flops * efficiency
-        yield self.upc.mem.compute(self.pu, flops * self._inflation / rate)
+    # -- local work (compute, compute_flops, local_stream: LocalWork) ---------
 
     def stream_from(
         self, owner_thread: int, bytes_read: float, bytes_written: float
     ) -> Generator:
         """Stream against a UPC thread's segment — PGAS reach extends to
         sub-threads (unlike MPI+threads, §4.1.2)."""
-        home = self.upc.gasnet.segment_socket(owner_thread)
-        yield from self.upc.mem.stream(self.pu, bytes_read, bytes_written, home)
-
-    def local_stream(self, bytes_read: float, bytes_written: float) -> Generator:
-        yield from self.stream_from(self.upc.MYTHREAD, bytes_read, bytes_written)
+        home = self.gasnet.segment_socket(owner_thread)
+        yield from self.mem.stream(self.pu, bytes_read, bytes_written, home)
 
     # -- UPC communication (gated) ----------------------------------------------
 
@@ -91,39 +85,30 @@ class SubthreadContext:
                 "call; only the master may communicate"
             )
 
-    def memput(self, dst_thread: int, nbytes: float, privatized: bool = False):
+    def _gated(self, transfer: Generator) -> Generator:
+        """Run one blocking UPC transfer under the job's safety level:
+        refused per :meth:`_check_comm`, one at a time under SERIALIZED."""
         self._check_comm()
-        if self.safety is ThreadSafety.SERIALIZED:
-            yield self._comm_mutex.acquire()
-            try:
-                yield from extended.put(
-                    self.upc.gasnet, self.upc.MYTHREAD, dst_thread, nbytes,
-                    privatized, initiator_pu=self.pu,
-                )
-            finally:
-                self._comm_mutex.release()
-        else:
-            yield from extended.put(
-                self.upc.gasnet, self.upc.MYTHREAD, dst_thread, nbytes,
-                privatized, initiator_pu=self.pu,
-            )
+        if self.safety is not ThreadSafety.SERIALIZED:
+            yield from transfer
+            return
+        yield self._comm_mutex.acquire()
+        try:
+            yield from transfer
+        finally:
+            self._comm_mutex.release()
+
+    def memput(self, dst_thread: int, nbytes: float, privatized: bool = False):
+        return self._gated(extended.put(
+            self.gasnet, self.upc.MYTHREAD, dst_thread, nbytes,
+            privatized, initiator_pu=self.pu,
+        ))
 
     def memget(self, src_thread: int, nbytes: float, privatized: bool = False):
-        self._check_comm()
-        if self.safety is ThreadSafety.SERIALIZED:
-            yield self._comm_mutex.acquire()
-            try:
-                yield from extended.get(
-                    self.upc.gasnet, self.upc.MYTHREAD, src_thread, nbytes,
-                    privatized, initiator_pu=self.pu,
-                )
-            finally:
-                self._comm_mutex.release()
-        else:
-            yield from extended.get(
-                self.upc.gasnet, self.upc.MYTHREAD, src_thread, nbytes,
-                privatized, initiator_pu=self.pu,
-            )
+        return self._gated(extended.get(
+            self.gasnet, self.upc.MYTHREAD, src_thread, nbytes,
+            privatized, initiator_pu=self.pu,
+        ))
 
     def memput_nb(self, dst_thread: int, nbytes: float, privatized: bool = False):
         self._check_comm()

@@ -18,7 +18,8 @@ from __future__ import annotations
 from typing import Any, Callable, Generator
 
 from repro.errors import UpcError
-from repro.gasnet.team import Team
+from repro.gasnet.team import Team, binomial_tree
+from repro.upc.sync import consume_flag, post_flag
 
 __all__ = ["broadcast", "reduce", "allreduce", "exchange", "gather", "scatter"]
 
@@ -42,28 +43,14 @@ def broadcast(upc, team: Team, nbytes: float, root_rank: int = 0, value: Any = N
             sanitizer.release(("flag", tag, "value"), upc.MYTHREAD)
         box.succeed(value)
 
-    # Standard binomial tree: receive from the parent below my lowest
-    # set bit, then fan out to children at decreasing strides.
-    mask = 1
-    while mask < size:
-        if rel & mask:
-            flag = upc.program.flag((tag, rel))
-            yield flag
-            if sanitizer.enabled:
-                sanitizer.acquire(("flag", tag, rel), upc.MYTHREAD)
-            upc.program._flags.pop((tag, rel), None)
-            break
-        mask <<= 1
-    mask >>= 1
-    while mask > 0:
-        child_rel = rel + mask
-        if child_rel < size:
-            dst = team.thread_at((child_rel + root_rank) % size)
-            yield from upc.memput(dst, nbytes)
-            if sanitizer.enabled:
-                sanitizer.release(("flag", tag, child_rel), upc.MYTHREAD)
-            upc.program.flag((tag, child_rel)).succeed()
-        mask >>= 1
+    # Binomial tree: receive from my parent, then fan out to my children
+    # at decreasing strides.
+    parent, children = binomial_tree(rel, size)
+    if parent is not None:
+        yield from consume_flag(upc, tag, rel)
+    for child_rel in reversed(children):
+        yield from upc.memput(team.thread_at((child_rel + root_rank) % size), nbytes)
+        post_flag(upc, tag, child_rel)
 
     result = yield box
     if sanitizer.enabled:
@@ -85,31 +72,17 @@ def reduce(
     me = team.rank(upc.MYTHREAD)
     tag = team.op_tag(upc.MYTHREAD)
     rel = (me - root_rank) % size
-    sanitizer = upc.sim.sanitizer
-
+    parent, children = binomial_tree(rel, size)
     acc = value
-    bit = 1
-    while bit < size:
-        if rel & bit:
-            # Send my accumulator to the partner below and stop.
-            dst_rel = rel & ~bit
-            dst = team.thread_at((dst_rel + root_rank) % size)
-            yield from upc.memput(dst, nbytes)
-            flag = upc.program.flag((tag, rel))
-            if sanitizer.enabled:
-                sanitizer.release(("flag", tag, rel), upc.MYTHREAD)
-            flag.succeed(acc)
-            return None
-        partner_rel = rel | bit
-        if partner_rel < size:
-            flag = upc.program.flag((tag, partner_rel))
-            other = yield flag
-            if sanitizer.enabled:
-                sanitizer.acquire(("flag", tag, partner_rel), upc.MYTHREAD)
-            upc.program._flags.pop((tag, partner_rel), None)
-            acc = op(acc, other)
-        bit <<= 1
-    return acc
+    # Fold in my children's accumulators at increasing strides.
+    for child_rel in children:
+        other = yield from consume_flag(upc, tag, child_rel)
+        acc = op(acc, other)
+    if parent is None:
+        return acc
+    yield from upc.memput(team.thread_at((parent + root_rank) % size), nbytes)
+    post_flag(upc, tag, rel, acc)
+    return None
 
 
 def allreduce(
@@ -166,39 +139,23 @@ def gather(upc, team: Team, nbytes: float, root_rank: int = 0) -> Generator:
     me = team.rank(upc.MYTHREAD)
     root = team.thread_at(root_rank)
     tag = team.op_tag(upc.MYTHREAD)
-    sanitizer = upc.sim.sanitizer
     if me != root_rank:
         yield from upc.memput(root, nbytes)
-        if sanitizer.enabled:
-            sanitizer.release(("flag", tag, me), upc.MYTHREAD)
-        upc.program.flag((tag, me)).succeed()
+        post_flag(upc, tag, me)
     else:
         for r in range(len(team)):
-            if r == root_rank:
-                continue
-            flag = upc.program.flag((tag, r))
-            yield flag
-            if sanitizer.enabled:
-                sanitizer.acquire(("flag", tag, r), upc.MYTHREAD)
-            upc.program._flags.pop((tag, r), None)
+            if r != root_rank:
+                yield from consume_flag(upc, tag, r)
 
 
 def scatter(upc, team: Team, nbytes: float, root_rank: int = 0) -> Generator:
     """Root puts a distinct ``nbytes`` chunk to every member (flat scatter)."""
     me = team.rank(upc.MYTHREAD)
     tag = team.op_tag(upc.MYTHREAD)
-    sanitizer = upc.sim.sanitizer
     if me == root_rank:
         for r in range(len(team)):
-            if r == root_rank:
-                continue
-            yield from upc.memput(team.thread_at(r), nbytes)
-            if sanitizer.enabled:
-                sanitizer.release(("flag", tag, r), upc.MYTHREAD)
-            upc.program.flag((tag, r)).succeed()
+            if r != root_rank:
+                yield from upc.memput(team.thread_at(r), nbytes)
+                post_flag(upc, tag, r)
     else:
-        flag = upc.program.flag((tag, me))
-        yield flag
-        if sanitizer.enabled:
-            sanitizer.acquire(("flag", tag, me), upc.MYTHREAD)
-        upc.program._flags.pop((tag, me), None)
+        yield from consume_flag(upc, tag, me)

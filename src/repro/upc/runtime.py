@@ -1,22 +1,24 @@
 """UPC program launch and the per-thread execution context.
 
-:class:`UpcProgram` assembles the whole simulated stack for one job —
-topology, memory system, fabric, GASNet runtime, thread placement — and
-runs an SPMD generator function on every UPC thread.  :class:`Upc` is the
-per-thread context those functions receive: it carries ``MYTHREAD`` /
-``THREADS`` and every runtime service (barriers, memory ops, collectives,
-locks, thread groups, cost charging).
+:class:`UpcProgram` is the UPC launcher on the shared SPMD job base
+(:class:`~repro.gasnet.job.SpmdJob`, which builds the simulated stack
+and runs an SPMD generator function on every UPC thread): it places
+processes and threads, and adds fault injection, locks and the runtime
+collectives.  :class:`Upc` is the per-thread context those functions
+receive: it carries ``MYTHREAD`` / ``THREADS`` and every runtime service
+(barriers, memory ops, collectives, locks, thread groups, cost
+charging).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional
 
 from repro.errors import UpcError
-from repro.gasnet import BackendConfig, GasnetRuntime, Team, ThreadLocation, extended
+from repro.gasnet import BackendConfig, ThreadLocation, extended
 from repro.gasnet.extended import Handle
+from repro.gasnet.job import LocalWork, ProgramResult, SpmdJob
 from repro.machine.affinity import (
     AffinityMask,
     bind_compact,
@@ -24,13 +26,9 @@ from repro.machine.affinity import (
     bind_unbound,
     subthread_pus,
 )
-from repro.machine.memory import MemorySystem
-from repro.machine.presets import PlatformPreset, generic_smp
-from repro.machine.topology import MachineTopology
-from repro.network.conduits import conduit as lookup_conduit
+from repro.machine.presets import PlatformPreset
 from repro.obs import names
-from repro.obs.session import arm
-from repro.sim import Event, SimBarrier, Simulator, SplittableRNG, StatsCollector
+from repro.sim import SimBarrier, SplittableRNG
 
 __all__ = ["UpcProgram", "Upc", "ProgramResult"]
 
@@ -47,22 +45,7 @@ BINDERS = {
 }
 
 
-@dataclass
-class ProgramResult:
-    """Outcome of one simulated UPC program run."""
-
-    elapsed: float                 #: simulated wall-clock of the whole job
-    returns: List[Any]             #: per-thread return values
-    stats: StatsCollector
-    sim: Simulator
-    #: sanitizer findings (empty unless run under a sanitizing session)
-    findings: List[Any] = field(default_factory=list)
-
-    def timer_max(self, name: str) -> float:
-        return self.stats.timer_max(name)
-
-
-class UpcProgram:
+class UpcProgram(SpmdJob):
     """One simulated UPC job: machine + runtime + SPMD launch.
 
     Parameters
@@ -94,6 +77,12 @@ class UpcProgram:
         meaningful with ``faults``.
     """
 
+    error = UpcError
+    process_prefix = "upc"
+    rank_noun = "threads"
+    world_name = "world"
+    sanitized = True
+
     def __init__(
         self,
         preset: Optional[PlatformPreset] = None,
@@ -116,7 +105,6 @@ class UpcProgram:
                 f"threads ({threads}) not divisible by threads_per_process "
                 f"({threads_per_process})"
             )
-        self.preset = preset or generic_smp(nodes=2)
         self.threads = threads
         self.threads_per_process = threads_per_process
         if backend is None:
@@ -125,33 +113,11 @@ class UpcProgram:
                 pshm=True,
             )
         self.backend = backend
-        self.net_params = lookup_conduit(conduit or self.preset.default_conduit)
         self.binding = binding
         self.seed = seed
+        super().__init__(preset, threads, threads_per_node, conduit,
+                         label=f"upc {backend.label} x{threads}")
 
-        self.sim = Simulator()
-        self.topo: MachineTopology = self.preset.topology()
-        self.stats = StatsCollector(self.sim)
-        # Arm the instrumentation sinks (a no-op outside an instrument()
-        # session) before any stack layer is built, so fabric and
-        # runtime construction can declare their tracks.
-        arm(self.sim, f"upc {self.backend.label} x{threads}", threads,
-            program=self)
-        self.mem = MemorySystem(self.sim, self.topo, self.preset.memory)
-
-        if threads_per_node is None:
-            threads_per_node = -(-threads // self.topo.total_nodes)
-        if threads_per_node % threads_per_process:
-            raise UpcError(
-                f"threads_per_node ({threads_per_node}) not divisible by "
-                f"threads_per_process ({threads_per_process})"
-            )
-        self.threads_per_node = threads_per_node
-        locations = self._place_threads()
-        self.gasnet = GasnetRuntime(
-            self.sim, self.topo, self.mem, self.net_params,
-            locations, backend=self.backend, stats=self.stats,
-        )
         from repro.faults import FaultInjector, FaultPlan
 
         if isinstance(faults, str):
@@ -160,13 +126,11 @@ class UpcProgram:
             faults = None  # empty plan == no faults: stay seed-identical
         self.fault_plan: Optional[FaultPlan] = faults
         self.faults: Optional[FaultInjector] = None
-        self._thread_procs: Optional[List] = None
         if faults is not None:
             self.faults = FaultInjector(self.sim, faults, stats=self.stats)
             self.gasnet.attach_faults(self.faults, retry=retry)
             self.faults.on_crash(self._on_node_crash)
 
-        self.world = Team(self.sim, range(threads), name="world")
         #: Per thread, the world-barrier generation its last ``upc_notify``
         #: joined (None once waited).
         self.pending_notify: List[Optional[int]] = [None] * threads
@@ -177,12 +141,13 @@ class UpcProgram:
         self.collective_slot: Optional[dict] = None
         self._locks: Dict[object, Any] = {}
         self._shared_heap: List[Any] = []
-        self._flags: Dict[object, Event] = {}
-        self._contexts = [Upc(self, t) for t in range(threads)]
+
+    def _new_context(self, rank: int) -> "Upc":
+        return Upc(self, rank)
 
     # -- placement -------------------------------------------------------
 
-    def _place_threads(self) -> List[ThreadLocation]:
+    def _place(self, per_node: int) -> List[ThreadLocation]:
         """Place processes and threads; also fills ``self.masks`` (the
         per-UPC-thread affinity mask that sub-threads inherit).
 
@@ -190,12 +155,19 @@ class UpcProgram:
         :mod:`repro.machine.affinity`); a process's threads then spread
         over its mask, cores first.
         """
+        tpp = self.threads_per_process
+        if per_node % tpp:
+            raise UpcError(
+                f"threads_per_node ({per_node}) not divisible by "
+                f"threads_per_process ({tpp})"
+            )
+        self.threads_per_node = per_node
         try:
             bind = BINDERS[self.binding]
         except KeyError:
             raise UpcError(f"unknown binding {self.binding!r}") from None
-        topo, tpp = self.topo, self.threads_per_process
-        procs_per_node = self.threads_per_node // tpp
+        topo = self.topo
+        procs_per_node = per_node // tpp
         proc_masks = bind(topo, self.threads // tpp, procs_per_node)
         locations: List[ThreadLocation] = []
         self.masks: List[AffinityMask] = []
@@ -258,49 +230,6 @@ class UpcProgram:
             for t in dead:
                 sanitizer.mark_dead(t)
 
-    # -- execution ---------------------------------------------------------
-
-    def run(self, main: Callable, *args: Any, **kwargs: Any) -> ProgramResult:
-        """Run ``main(upc, *args, **kwargs)`` on every thread to completion."""
-        procs = []
-        for t in range(self.threads):
-            gen = main(self._contexts[t], *args, **kwargs)
-            procs.append(self.sim.spawn(gen, name=f"upc{t}"))
-        self._thread_procs = procs
-        self.sim.run()
-        if self.sim.tracer.enabled:
-            # Close still-open spans (transfers cut short by kills) so the
-            # trace is complete even when the checks below raise.
-            self.sim.tracer.finalize(self.sim.now)
-        sanitizer = self.sim.sanitizer
-        if sanitizer.enabled:
-            # End-of-run matching checks must run before the deadlock /
-            # failure raises below: the findings usually explain them.
-            sanitizer.finalize()
-        self.sim.raise_failures()
-        unfinished = [p.name for p in procs if not p.done]
-        if unfinished:
-            stalled = [p.name for p in self.sim.stalled_processes()]
-            raise UpcError(
-                f"deadlock: threads never finished: {unfinished[:8]} "
-                f"({len(unfinished)} total); stalled processes: "
-                f"{stalled[:12]} ({len(stalled)} total)"
-            )
-        leaked = self.stats.open_timers()
-        if leaked:
-            raise UpcError(
-                "phase timers still open at end of run — their elapsed "
-                "time was never recorded (a thread died mid-phase?): "
-                f"{leaked!r}"
-            )
-        return ProgramResult(
-            elapsed=self.sim.now,
-            returns=[p.result for p in procs],
-            stats=self.stats,
-            sim=self.sim,
-            findings=list(sanitizer.findings) if sanitizer.enabled else [],
-        )
-
     def context(self, thread: int) -> "Upc":
         return self._contexts[thread]
 
@@ -320,19 +249,8 @@ class UpcProgram:
             self._locks[key] = lock
         return lock
 
-    def flag(self, key: object) -> Event:
-        """One-shot point-to-point flag (collectives' pairwise rendezvous).
 
-        Both the signaller and the waiter may create the flag; keys must
-        be unique per use (collectives embed a per-team op counter).
-        """
-        ev = self._flags.get(key)
-        if ev is None:
-            ev = self._flags[key] = Event(self.sim)
-        return ev
-
-
-class Upc:
+class Upc(LocalWork):
     """Per-thread UPC context — what a UPC program sees.
 
     All blocking operations are simulated generators used with
@@ -351,12 +269,9 @@ class Upc:
         self.rng = SplittableRNG(seed=program.seed).child(mythread)
         self.location = program.gasnet.location(mythread)
         self.pu = self.location.pu
+        self._home = mythread
 
     # -- identity / queries ------------------------------------------------
-
-    @property
-    def my_socket(self) -> int:
-        return self.gasnet.segment_socket(self.MYTHREAD)
 
     @property
     def my_node(self) -> int:
@@ -412,20 +327,8 @@ class Upc:
         """Get (creating on first use) the named global lock."""
         return self.program.get_lock(key, affinity_thread)
 
-    # -- compute & memory cost charging ---------------------------------------
-
-    def compute(self, seconds: float) -> Generator:
-        """Execute ``seconds`` of single-thread CPU work."""
-        yield self.mem.compute(self.pu, seconds)
-
-    def compute_flops(self, flops: float, efficiency: float = 0.25) -> Generator:
-        """Execute a flop count at a sustained fraction of core peak."""
-        rate = self.mem.params.core_flops * efficiency
-        yield self.mem.compute(self.pu, flops / rate)
-
-    def local_stream(self, bytes_read: float, bytes_written: float) -> Generator:
-        """Stream traffic against this thread's own segment."""
-        yield from self.mem.stream(self.pu, bytes_read, bytes_written, self.my_socket)
+    # -- compute & memory cost charging (compute, compute_flops and
+    # local_stream come from LocalWork) ----------------------------------------
 
     def stream_from(
         self, owner_thread: int, bytes_read: float, bytes_written: float

@@ -1,22 +1,43 @@
-"""UPC locks.
+"""UPC locks, and the one-reader flags collectives hand data through.
 
 ``upc_lock_t`` objects live in shared memory with affinity to one thread;
 acquiring from elsewhere is an active-message round to that thread (or a
 cache-coherent atomic round when the contender shares memory with the
 lock's home).  Contended waiters queue FIFO at the home, like the
-Berkeley runtime's list locks.
+Berkeley runtime's list locks.  :func:`post_flag` and
+:func:`consume_flag` are a flag's two ends, with the sanitizer's
+release and acquire.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Any, Generator
 
 from repro.errors import UpcError
 from repro.obs import names
 from repro.obs.tracer import thread_track
 from repro.sim import Resource
 
-__all__ = ["UpcLock"]
+__all__ = ["UpcLock", "consume_flag", "post_flag"]
+
+
+def post_flag(upc, tag: str, key: Any, value: Any = None) -> None:
+    """Set flag ``(tag, key)`` for its one reader, releasing to it."""
+    sanitizer = upc.sim.sanitizer
+    if sanitizer.enabled:
+        sanitizer.release(("flag", tag, key), upc.MYTHREAD)
+    upc.program.flag((tag, key)).succeed(value)
+
+
+def consume_flag(upc, tag: str, key: Any) -> Generator:
+    """Wait for flag ``(tag, key)``, acquire it and drop it from the
+    program's store; returns its value."""
+    value = yield upc.program.flag((tag, key))
+    sanitizer = upc.sim.sanitizer
+    if sanitizer.enabled:
+        sanitizer.acquire(("flag", tag, key), upc.MYTHREAD)
+    upc.program.drop_flag((tag, key))
+    return value
 
 
 class UpcLock:

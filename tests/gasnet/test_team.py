@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import GasnetError
 from repro.gasnet import Team
+from repro.gasnet.team import binomial_tree
 from repro.sim import Simulator
 
 
@@ -113,3 +114,29 @@ class TestTeamSplit:
             sim.spawn(member(sim, children[t], t))
         sim.run()
         assert sorted(done) == [0, 1]
+
+
+class TestBinomialTree:
+    def test_eight_ranks(self):
+        assert binomial_tree(0, 8) == (None, [1, 2, 4])
+        assert binomial_tree(4, 8) == (0, [5, 6])
+        assert binomial_tree(6, 8) == (4, [7])
+        assert binomial_tree(7, 8) == (6, [])
+
+    def test_children_stay_below_size(self):
+        assert binomial_tree(0, 5) == (None, [1, 2, 4])
+        assert binomial_tree(4, 5) == (0, [])
+        assert binomial_tree(2, 3) == (0, [])
+
+    @pytest.mark.parametrize("size", range(1, 40))
+    def test_parent_and_children_agree(self, size):
+        # every non-root rank is the child of exactly its parent, so the
+        # tree spans all ranks from the root
+        parent_of = {}
+        for rel in range(size):
+            for child in binomial_tree(rel, size)[1]:
+                assert child not in parent_of
+                parent_of[child] = rel
+        assert parent_of == {
+            rel: binomial_tree(rel, size)[0] for rel in range(1, size)
+        }

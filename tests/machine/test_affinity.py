@@ -168,6 +168,11 @@ class TestLaunchers:
         with pytest.raises(AffinityError, match="oversubscribed"):
             UpcProgram(self.PRESET, threads=3, binding="compact")
 
+    @pytest.mark.parametrize("binding", ["sockets", "unbound"])
+    def test_every_binding_shares_the_rule(self, binding):
+        with pytest.raises(AffinityError, match="node 0 oversubscribed: 3 ranks for 2 PUs"):
+            UpcProgram(self.PRESET, threads=3, binding=binding)
+
     def test_mpi_oversubscription_rejected(self):
         with pytest.raises(AffinityError, match="oversubscribed"):
             MpiProgram(self.PRESET, ranks=3)

@@ -41,6 +41,21 @@ class TestLaunch:
         with pytest.raises(MpiError, match="deadlock"):
             prog.run(main)
 
+    def test_deadlock_names_stalled_processes(self):
+        prog = make_mpi(ranks=2)
+
+        def main(r):
+            if r.rank == 0:
+                yield from r.recv(1)  # never sent
+            else:
+                yield from r.compute(0.0)
+
+        with pytest.raises(MpiError) as info:
+            prog.run(main)
+        message = str(info.value)
+        assert "ranks never finished: ['rank0'] (1 total)" in message
+        assert "stalled processes: ['rank0'] (1 total)" in message
+
 
 class TestPointToPoint:
     def test_eager_roundtrip(self):
@@ -190,6 +205,18 @@ class TestCollectives:
         res = prog.run(main)
         expected = ranks * (ranks + 1) // 2
         assert res.returns == [expected] * ranks
+
+    @pytest.mark.parametrize("ranks", [3, 4, 6])
+    def test_allreduce_drops_consumed_flags(self, ranks):
+        prog = make_mpi(ranks=ranks, nodes=2)
+
+        def main(r):
+            out = yield from collectives.allreduce(r, r.rank, operator.add)
+            return out
+
+        prog.run(main)
+        # every fold, exchange and result flag has exactly one reader
+        assert prog._flags == {}
 
     @pytest.mark.parametrize("ranks,root", [(4, 0), (4, 2), (5, 3), (8, 7)])
     def test_bcast_value(self, ranks, root):
