@@ -10,6 +10,14 @@ Variants:
   finishes, its per-peer slices go out with non-blocking puts, hiding
   communication behind the next plane's compute.
 
+One driver, ``_ft_main``, runs every UPC variant and the Fortran-MPI
+comparator.  The comparator is the split variant with the library
+alltoall and allreduce in place of UPC's point-to-point exchange and
+binomial allreduce; a ``_Model`` carries only those two collectives and
+the rank id, so the two programs differ in communication alone.  Each
+direction of the 3-D FFT is one ``_Leg`` (its work items, sizes, FFT,
+pack and unpack), which both a split leg and the overlap leg read.
+
 Hybrid runs layer sub-threads (OpenMP / Cilk / thread pool) under each
 UPC thread: compute phases are worksharing loops; split-phase exchanges
 stay master-only (THREAD_FUNNELED) while overlap lets sub-threads issue
@@ -22,8 +30,9 @@ Every phase is timed per thread; the harness reads the critical-path
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Any, Callable, Dict, Generator, List, NamedTuple, Optional
 
 from repro.apps.ft.classes import FtClass, ft_class
 from repro.apps.ft.data import FtState
@@ -33,14 +42,11 @@ from repro.obs import names
 from repro.subthreads import Cilk, OpenMP, ThreadPool, ThreadSafety
 from repro.upc import UpcProgram, collectives
 
-if TYPE_CHECKING:
-    import numpy as np
-
 __all__ = ["FtConfig", "run_ft", "run_exchange_only"]
 
 _RUNTIMES = {"openmp": OpenMP, "cilk": Cilk, "pool": ThreadPool}
-#: Streamed bytes multiplier for a pack/unpack pass (read + write).
-_PACK_RW = 2
+#: The per-thread phase timers, in report order.
+_PHASES = ("fft2d", "fft1d", "evolve", "transpose", "alltoall")
 
 
 @dataclass(frozen=True)
@@ -65,330 +71,245 @@ class FtConfig:
             raise ValueError(f"unknown sub-thread runtime {self.subthread_runtime!r}")
 
     @property
+    def iters(self) -> int:
+        """Iterations to run: ``iterations``, or the class default for 0."""
+        return self.iterations or self.clazz.iterations
+
+    @property
     def should_verify(self) -> bool:
         if self.verify is not None:
             return self.verify
         return self.backing == "real"
 
 
-class _Plan:
-    """Per-thread precomputed flop/byte counts for one configuration."""
+@dataclass(frozen=True)
+class _Leg:
+    """One direction of the 3-D FFT: an FFT pass over local work items,
+    then a re-layout through the global exchange.
 
-    def __init__(self, cfg: FtConfig, state: FtState):
-        cls = cfg.clazz
-        self.plane_flops_2d = 5.0 * cls.ny * cls.nx * math.log2(cls.ny * cls.nx)
-        self.row_flops_1d = 5.0 * cls.nz * math.log2(cls.nz) * cls.nx
-        self.local_bytes = state.local_bytes
-        self.plane_bytes = state.plane_bytes
-        self.plane_slice_bytes = state.plane_slice_bytes
-        self.row_bytes_d2 = cls.nz * cls.nx * 16
-        self.row_slice_bytes = state.lnz * cls.nx * 16
+    ``fwd`` runs 2-D FFTs over the z-planes of D1 and moves to D2; ``inv``
+    runs 1-D FFTs over the y-rows of D2 and moves back to D1.  Sizes are
+    per item: ``transpose_bytes`` is streamed by the local transpose,
+    ``slice_bytes`` goes to each peer.
+    """
+
+    nitems: int
+    flops: float
+    transpose_bytes: int
+    slice_bytes: int
+    fft_timer: str
+    fft: Callable
+    pack: Callable
+    unpack: Callable
 
 
-def _subthread_runtime(upc, cfg: FtConfig):
+def _legs(cls: FtClass, state: FtState):
+    """The (fwd, inv) legs of one configuration."""
+    fwd = _Leg(
+        nitems=state.lnz,
+        flops=5.0 * cls.ny * cls.nx * math.log2(cls.ny * cls.nx),
+        transpose_bytes=state.plane_bytes,
+        slice_bytes=state.plane_slice_bytes,
+        fft_timer="fft2d",
+        fft=state.fft2d,
+        pack=state.pack_d1_to_blocks,
+        unpack=state.unpack_blocks_to_d2,
+    )
+    inv = _Leg(
+        nitems=state.lny,
+        flops=5.0 * cls.nz * math.log2(cls.nz) * cls.nx,
+        transpose_bytes=cls.nz * cls.nx * 16,
+        slice_bytes=state.lnz * cls.nx * 16,
+        fft_timer="fft1d",
+        fft=state.fft1d,
+        pack=state.pack_d2_to_blocks,
+        unpack=state.unpack_blocks_to_d1,
+    )
+    return fwd, inv
+
+
+class _Model(NamedTuple):
+    """What the programming models do differently: the rank id and the
+    two collectives.  Everything else in ``_ft_main`` is shared."""
+
+    rank: Callable[[Any], int]
+    #: ``exchange(ctx, cfg, nbytes_per_pair, t)``; ``t`` is the iteration,
+    #: 0 for the forward FFT.
+    exchange: Callable[..., Generator]
+    #: ``allreduce(ctx, value)`` sums one complex checksum.
+    allreduce: Callable[[Any, complex], Generator]
+
+
+def _upc_exchange(upc, cfg: FtConfig, nbytes: float, t: int):
+    return collectives.exchange(
+        upc, upc.program.world, nbytes,
+        asynchronous=cfg.asynchronous, privatized=cfg.privatized,
+    )
+
+
+def _upc_allreduce(upc, value):
+    return collectives.allreduce(upc, upc.program.world, value, operator.add, nbytes=16.0)
+
+
+def _mpi_exchange(rank, cfg: FtConfig, nbytes: float, t: int):
+    from repro.mpi import collectives as mpi_coll
+
+    return mpi_coll.alltoall(rank, nbytes, tag_base=1000 + t)
+
+
+def _mpi_allreduce(rank, value):
+    from repro.mpi import collectives as mpi_coll
+
+    return mpi_coll.allreduce(rank, value, operator.add, nbytes=16.0)
+
+
+#: The thesis's UPC code: point-to-point memputs and a binomial allreduce.
+_UPC = _Model(lambda upc: upc.MYTHREAD, _upc_exchange, _upc_allreduce)
+#: The Fortran-MPI comparator: the library alltoall and allreduce.
+_MPI = _Model(lambda rank: rank.rank, _mpi_exchange, _mpi_allreduce)
+
+
+def _subthread_runtime(ctx, cfg: FtConfig):
     if not cfg.omp_threads:
         return None
     safety = (
         ThreadSafety.MULTIPLE if cfg.variant == "overlap" else ThreadSafety.FUNNELED
     )
-    return _RUNTIMES[cfg.subthread_runtime](upc, cfg.omp_threads, safety=safety)
+    return _RUNTIMES[cfg.subthread_runtime](ctx, cfg.omp_threads, safety=safety)
 
 
-# ---------------------------------------------------------------------------
-# phase helpers (UPC side).  Each charges simulated cost — possibly through
-# sub-threads — then performs the instantaneous data-plane operation.
-# ---------------------------------------------------------------------------
-
-def _compute_planes(upc, rt, nplanes: int, flops_per_plane: float,
+def _compute_planes(ctx, rt, nplanes: int, flops_per_plane: float,
                     stream_per_plane: float, efficiency: float):
-    """Charge an FFT-like pass over ``nplanes`` work items."""
-    if rt is None:
-        yield from upc.compute_flops(nplanes * flops_per_plane, efficiency)
-        if stream_per_plane:
-            yield from upc.local_stream(
-                nplanes * stream_per_plane, nplanes * stream_per_plane
-            )
-        return
+    """Charge an FFT-like pass over ``nplanes`` work items.
 
-    def body(st, rng):
-        n = len(rng)
-        if n == 0:
-            return
-        yield from st.compute_flops(n * flops_per_plane, efficiency)
+    Zero flops or zero bytes charge nothing: a transpose only streams and
+    an FFT only computes.
+    """
+    def body(st, n):
+        if flops_per_plane:
+            yield from st.compute_flops(n * flops_per_plane, efficiency)
         if stream_per_plane:
             yield from st.local_stream(n * stream_per_plane, n * stream_per_plane)
 
-    yield from rt.parallel_for(nplanes, body)
-
-
-def _split_exchange(upc, cfg: FtConfig, state: FtState, pack: str):
-    """Split-phase global exchange (pack direction 'd1' or 'd2')."""
-    me = upc.MYTHREAD
-    if pack == "d1":
-        state.pack_d1_to_blocks(me)
-    else:
-        state.pack_d2_to_blocks(me)
-    yield from collectives.exchange(
-        upc, upc.program.world, state.bytes_per_pair,
-        asynchronous=cfg.asynchronous, privatized=cfg.privatized,
-    )
-    if pack == "d1":
-        state.unpack_blocks_to_d2(me)
-    else:
-        state.unpack_blocks_to_d1(me)
-
-
-def _overlap_fft_exchange(upc, rt, cfg: FtConfig, state: FtState, plan: _Plan,
-                          direction: str, inverse: bool, timers):
-    """Fused compute+exchange: per-plane FFT then non-blocking slices out.
-
-    ``direction`` is "fwd" (D1 planes, 2-D FFTs, exchange to D2) or "inv"
-    (D2 rows, 1-D FFTs, exchange to D1).
-    """
-    me, T = upc.MYTHREAD, upc.THREADS
-    if direction == "fwd":
-        nitems = state.lnz
-        flops = plan.plane_flops_2d
-        slice_bytes = plan.plane_slice_bytes
-        fft_timer = "fft2d"
-    else:
-        nitems = state.lny
-        flops = plan.row_flops_1d
-        slice_bytes = plan.row_slice_bytes
-        fft_timer = "fft1d"
-
-    handles: List = []
-
-    # Castability is topological and fixed for the run: precompute the
-    # peer order and per-destination privatization verdicts once instead
-    # of re-querying can_cast on every plane (the analyzer's PGAS012
-    # verdict).  Same memput_nb order and arguments, so the simulated
-    # cost stream is unchanged.
-    peers = [(me + k) % T for k in range(1, T)]
-    priv_ok = {dst: cfg.privatized and upc.can_cast(dst) for dst in peers}
-
-    def issue_puts(ctx, can_nb=True):
-        for dst in peers:
-            handles.append(ctx.memput_nb(dst, slice_bytes,
-                                         privatized=priv_ok[dst]))
-
     if rt is None:
-        for p in range(nitems):
-            timers[fft_timer].start()
-            yield from upc.compute_flops(flops, cfg.fft_efficiency)
-            timers[fft_timer].stop()
-            issue_puts(upc)
-    else:
-        def body(st, rng):
-            for _p in rng:
-                yield from st.compute_flops(flops, cfg.fft_efficiency)
-                issue_puts(st)
+        yield from body(ctx, nplanes)
+        return
 
-        timers[fft_timer].start()
-        yield from rt.parallel_for(nitems, body)
-        timers[fft_timer].stop()
+    def chunk(st, rng):
+        if len(rng):
+            yield from body(st, len(rng))
 
-    # data plane: the packing is logically per-plane; do it in bulk here
-    if direction == "fwd":
-        state.fft2d(me, inverse=inverse)
-        state.pack_d1_to_blocks(me)
-    else:
-        state.fft1d(me, inverse=inverse)
-        state.pack_d2_to_blocks(me)
-
-    timers["alltoall"].start()
-    for h in handles:
-        yield from h.wait()
-    yield from upc.program.world.barrier(me)
-    timers["alltoall"].stop()
-
-    if direction == "fwd":
-        state.unpack_blocks_to_d2(me)
-    else:
-        state.unpack_blocks_to_d1(me)
+    yield from rt.parallel_for(nplanes, chunk)
 
 
 # ---------------------------------------------------------------------------
-# main programs
+# the one driver: every thread (UPC) or rank (MPI) runs it
 # ---------------------------------------------------------------------------
 
-def _ft_upc_main(upc, cfg: FtConfig, state: FtState):
-    me, T = upc.MYTHREAD, upc.THREADS
-    cls = cfg.clazz
-    iters = cfg.iterations or cls.iterations
-    plan = _Plan(cfg, state)
-    rt = _subthread_runtime(upc, cfg)
-    stats = upc.stats
-    timers = {
-        name: stats.phase(name, key=me)
-        for name in ("fft2d", "fft1d", "evolve", "transpose", "alltoall")
-    }
-    factors_cache: Dict[int, np.ndarray] = {}
+def _ft_main(ctx, model: _Model, cfg: FtConfig, state: FtState):
+    """One FT run on one UPC thread or MPI rank; ``model`` is its
+    communication."""
+    me = model.rank(ctx)
+    fwd, inv = _legs(cfg.clazz, state)
+    rt = _subthread_runtime(ctx, cfg)
+    timers = {name: ctx.stats.phase(name, key=me) for name in _PHASES}
+
+    def fft_pass(leg: _Leg, inverse: bool):
+        timers[leg.fft_timer].start()
+        yield from _compute_planes(
+            ctx, rt, leg.nitems, leg.flops, 0.0, cfg.fft_efficiency
+        )
+        leg.fft(me, inverse=inverse)
+        timers[leg.fft_timer].stop()
+
+    def split_leg(leg: _Leg, inverse: bool, t: int):
+        """Compute all items, transpose, then a blocking exchange."""
+        yield from fft_pass(leg, inverse)
+        timers["transpose"].start()
+        yield from _compute_planes(ctx, rt, leg.nitems, 0.0, leg.transpose_bytes, 1.0)
+        timers["transpose"].stop()
+        timers["alltoall"].start()
+        leg.pack(me)
+        yield from model.exchange(ctx, cfg, state.bytes_per_pair, t)
+        leg.unpack(me)
+        timers["alltoall"].stop()
+
+    def overlap_leg(leg: _Leg, inverse: bool, t: int):
+        """Fused compute+exchange: each item's FFT, then its slices go out
+        with non-blocking puts."""
+        T = ctx.THREADS
+        handles: List = []
+        # Castability is topological and fixed for the run: precompute the
+        # peer order and per-destination privatization verdicts once
+        # instead of re-querying can_cast on every item (the analyzer's
+        # PGAS012 verdict).
+        peers = [(me + k) % T for k in range(1, T)]
+        priv_ok = {dst: cfg.privatized and ctx.can_cast(dst) for dst in peers}
+
+        def issue_puts(c):
+            for dst in peers:
+                handles.append(c.memput_nb(dst, leg.slice_bytes,
+                                           privatized=priv_ok[dst]))
+
+        timer = timers[leg.fft_timer]
+        if rt is None:
+            for _p in range(leg.nitems):
+                timer.start()
+                yield from ctx.compute_flops(leg.flops, cfg.fft_efficiency)
+                timer.stop()
+                issue_puts(ctx)
+        else:
+            def body(st, rng):
+                for _p in rng:
+                    yield from st.compute_flops(leg.flops, cfg.fft_efficiency)
+                    issue_puts(st)
+
+            timer.start()
+            yield from rt.parallel_for(leg.nitems, body)
+            timer.stop()
+
+        # data plane: the packing is logically per item; do it in bulk here
+        leg.fft(me, inverse=inverse)
+        leg.pack(me)
+        timers["alltoall"].start()
+        for h in handles:
+            yield from h.wait()
+        yield from ctx.program.world.barrier(me)
+        timers["alltoall"].stop()
+        leg.unpack(me)
+
+    exchange_leg = overlap_leg if cfg.variant == "overlap" else split_leg
 
     if me == 0:
         state.init_field()
-    yield from upc.barrier()
-    t_start = upc.wtime()
+    yield from ctx.barrier()
+    t_start = ctx.wtime()
 
     # -- forward 3-D FFT (once) ------------------------------------------
-    if cfg.variant == "split":
-        timers["fft2d"].start()
-        yield from _compute_planes(
-            upc, rt, state.lnz, plan.plane_flops_2d, 0.0, cfg.fft_efficiency
-        )
-        state.fft2d(me)
-        timers["fft2d"].stop()
-        timers["transpose"].start()
-        yield from _compute_planes(
-            upc, rt, state.lnz, 0.0, plan.plane_bytes, 1.0
-        )
-        timers["transpose"].stop()
-        timers["alltoall"].start()
-        yield from _split_exchange(upc, cfg, state, pack="d1")
-        timers["alltoall"].stop()
-    else:
-        yield from _overlap_fft_exchange(
-            upc, rt, cfg, state, plan, "fwd", inverse=False, timers=timers
-        )
-    timers["fft1d"].start()
-    yield from _compute_planes(
-        upc, rt, state.lny, plan.row_flops_1d, 0.0, cfg.fft_efficiency
-    )
-    state.fft1d(me)
-    timers["fft1d"].stop()
+    yield from exchange_leg(fwd, inverse=False, t=0)
+    yield from fft_pass(inv, inverse=False)
 
     # keep the spectrum: iterations evolve u1, they don't accumulate
     spectrum = state.d2.get(me).copy() if state.real else None
 
     # -- iterations ---------------------------------------------------------
     checksums: List[complex] = []
-    for t in range(1, iters + 1):
-        if state.real:
-            if t not in factors_cache:
-                factors_cache.clear()
-                factors_cache[t] = state.factors_slice_d2(
-                    me, evolve_factors(cls, t)
-                )
-            state.d2[me] = spectrum * factors_cache[t]
-        timers["evolve"].start()
-        yield from _compute_planes(
-            upc, rt, state.lny, 0.0, 2 * plan.row_bytes_d2, 1.0
-        )
-        timers["evolve"].stop()
-
-        if cfg.variant == "split":
-            timers["fft1d"].start()
-            yield from _compute_planes(
-                upc, rt, state.lny, plan.row_flops_1d, 0.0, cfg.fft_efficiency
-            )
-            state.fft1d(me, inverse=True)
-            timers["fft1d"].stop()
-            timers["transpose"].start()
-            yield from _compute_planes(
-                upc, rt, state.lny, 0.0, plan.row_bytes_d2, 1.0
-            )
-            timers["transpose"].stop()
-            timers["alltoall"].start()
-            yield from _split_exchange(upc, cfg, state, pack="d2")
-            timers["alltoall"].stop()
-        else:
-            yield from _overlap_fft_exchange(
-                upc, rt, cfg, state, plan, "inv", inverse=True, timers=timers
-            )
-
-        timers["fft2d"].start()
-        yield from _compute_planes(
-            upc, rt, state.lnz, plan.plane_flops_2d, 0.0, cfg.fft_efficiency
-        )
-        state.fft2d(me, inverse=True)
-        timers["fft2d"].stop()
-
-        local = state.local_checksum(me)
-        total = yield from collectives.allreduce(
-            upc, upc.program.world, local, lambda a, b: a + b, nbytes=16.0
-        )
-        checksums.append(total)
-
-    elapsed = upc.wtime() - t_start
-    return {"thread": me, "elapsed": elapsed, "checksums": checksums}
-
-
-def _ft_mpi_main(rank, cfg: FtConfig, state: FtState):
-    """The Fortran-MPI comparator: split-phase with library alltoall."""
-    from repro.mpi import collectives as mpi_coll
-
-    me, T = rank.rank, rank.size
-    cls = cfg.clazz
-    iters = cfg.iterations or cls.iterations
-    plan = _Plan(cfg, state)
-    stats = rank.stats
-    timers = {
-        name: stats.phase(name, key=me)
-        for name in ("fft2d", "fft1d", "evolve", "transpose", "alltoall")
-    }
-
-    def compute(flops):
-        yield from rank.compute_flops(flops, cfg.fft_efficiency)
-
-    if me == 0:
-        state.init_field()
-    yield from rank.barrier()
-    t_start = rank.wtime()
-
-    timers["fft2d"].start()
-    yield from compute(state.lnz * plan.plane_flops_2d)
-    state.fft2d(me)
-    timers["fft2d"].stop()
-    timers["transpose"].start()
-    yield from rank.local_stream(
-        state.lnz * plan.plane_bytes, state.lnz * plan.plane_bytes
-    )
-    timers["transpose"].stop()
-    state.pack_d1_to_blocks(me)
-    timers["alltoall"].start()
-    yield from mpi_coll.alltoall(rank, state.bytes_per_pair)
-    timers["alltoall"].stop()
-    state.unpack_blocks_to_d2(me)
-    timers["fft1d"].start()
-    yield from compute(state.lny * plan.row_flops_1d)
-    state.fft1d(me)
-    timers["fft1d"].stop()
-
-    spectrum = state.d2.get(me).copy() if state.real else None
-    checksums: List[complex] = []
-    for t in range(1, iters + 1):
+    for t in range(1, cfg.iters + 1):
         if state.real:
             state.d2[me] = spectrum * state.factors_slice_d2(
-                me, evolve_factors(cls, t)
+                me, evolve_factors(cfg.clazz, t)
             )
         timers["evolve"].start()
-        yield from rank.local_stream(2 * plan.local_bytes, 2 * plan.local_bytes)
+        yield from _compute_planes(
+            ctx, rt, inv.nitems, 0.0, 2 * inv.transpose_bytes, 1.0
+        )
         timers["evolve"].stop()
-        timers["fft1d"].start()
-        yield from compute(state.lny * plan.row_flops_1d)
-        state.fft1d(me, inverse=True)
-        timers["fft1d"].stop()
-        timers["transpose"].start()
-        yield from rank.local_stream(
-            state.lny * plan.row_bytes_d2, state.lny * plan.row_bytes_d2
-        )
-        timers["transpose"].stop()
-        state.pack_d2_to_blocks(me)
-        timers["alltoall"].start()
-        yield from mpi_coll.alltoall(rank, state.bytes_per_pair, tag_base=1000 + t)
-        timers["alltoall"].stop()
-        state.unpack_blocks_to_d1(me)
-        timers["fft2d"].start()
-        yield from compute(state.lnz * plan.plane_flops_2d)
-        state.fft2d(me, inverse=True)
-        timers["fft2d"].stop()
-        local = state.local_checksum(me)
-        total = yield from mpi_coll.allreduce(
-            rank, local, lambda a, b: a + b, nbytes=16.0
-        )
+        yield from exchange_leg(inv, inverse=True, t=t)
+        yield from fft_pass(fwd, inverse=True)
+        total = yield from model.allreduce(ctx, state.local_checksum(me))
         checksums.append(total)
 
-    return {"thread": me, "elapsed": rank.wtime() - t_start, "checksums": checksums}
+    return {"thread": me, "elapsed": ctx.wtime() - t_start, "checksums": checksums}
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +364,7 @@ def run_ft(
             conduit=conduit,
             binding="sockets" if (omp_threads or threads_per_process > 1) else "compact",
         )
-        res = prog.run(_ft_upc_main, cfg, state)
+        ft_model = _UPC
     elif model == "mpi":
         if variant != "split" or omp_threads:
             raise ValueError("the MPI comparator is split-phase, no sub-threads")
@@ -453,14 +374,14 @@ def run_ft(
             preset, ranks=threads, ranks_per_node=threads_per_node,
             conduit=conduit,
         )
-        res = prog.run(_ft_mpi_main, cfg, state)
+        ft_model = _MPI
     else:
         raise ValueError(f"unknown model {model!r}")
+    res = prog.run(_ft_main, ft_model, cfg, state)
 
     checksums = res.returns[0]["checksums"]
     if cfg.should_verify and state.real:
-        iters = cfg.iterations or cls.iterations
-        expected = serial_ft(cls, iterations=iters)
+        expected = serial_ft(cls, iterations=cfg.iters)
         for got, want in zip(checksums, expected):
             if abs(got - want) > 1e-6 * max(1.0, abs(want)):
                 raise AssertionError(
@@ -468,12 +389,8 @@ def run_ft(
                 )
 
     elapsed = max(r["elapsed"] for r in res.returns)
-    phases = {
-        name: res.stats.timer_max(name)
-        for name in ("fft2d", "fft1d", "evolve", "transpose", "alltoall")
-    }
-    iters = cfg.iterations or cls.iterations
-    total_flops = (iters + 1) * cls.fft3d_flops()
+    phases = {name: res.stats.timer_max(name) for name in _PHASES}
+    total_flops = (cfg.iters + 1) * cls.fft3d_flops()
     return {
         "class": cls.name,
         "model": model,

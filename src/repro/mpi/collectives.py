@@ -110,13 +110,14 @@ def bcast(
     prog = rank.program
     seq = prog.world.op_tag(me)
     rel = (me - root) % size
-    box = prog.flag((seq, "v"))
-    if rel == 0 and not box.done:
-        box.succeed(value)
     parent, children = binomial_tree(rel, size)
     if parent is not None:
-        yield from rank.recv((parent + root) % size, tag=tag)
+        value = yield from _recv_value(
+            rank, (parent + root) % size, tag, (seq, "v", rel)
+        )
     for child in reversed(children):
+        # the value is posted before the send, so it is there when the
+        # child's receive completes
+        prog.flag((seq, "v", child)).succeed(value)
         yield from rank.send((child + root) % size, nbytes, tag=tag)
-    result = yield box
-    return result
+    return value

@@ -43,6 +43,11 @@ _WALK_LIMIT = 16
 #: are transparent, so the walk continues outward past them.
 _PLUMBING = frozenset({"sim.engine", "obs", HOST_IMPORT, None})
 
+#: The engine loop's frames (``Simulator.run`` and ``step``): whatever
+#: lies beyond them only started the simulation, so the walk stops there.
+#: Matched by name because this module may not import the engine.
+_ENGINE_LOOP = frozenset({"run", "step"})
+
 
 def _code_layer(code) -> str:
     """The layer of a code object, or host.other for none or a foreign one."""
@@ -94,17 +99,21 @@ class CostProfiler:
         under ``schedule_after``, or a process resume); a Delay created by
         the network attributes to the network, one created directly by
         app code to the app.  Falls back to the callback's own layer when
-        the whole (bounded) walk is plumbing — e.g. engine-internal
-        wakeups, whose heap entries hold bound methods such as
-        ``Process._step``; a C callable has no code and owns nothing.
+        the walk meets only plumbing before the engine loop or its bound —
+        e.g. engine-internal wakeups, whose heap entries hold bound
+        methods such as ``Process._step``; a C callable has no code and
+        owns nothing.
         """
         frame = sys._getframe(3)  # hook <- _tally_push <- push site
         for _ in range(_WALK_LIMIT):
             if frame is None:
                 break
-            layer = file_layer(frame.f_code.co_filename)
+            code = frame.f_code
+            layer = file_layer(code.co_filename)
             if layer not in _PLUMBING:
                 return layer
+            if layer == "sim.engine" and code.co_name in _ENGINE_LOOP:
+                break
             frame = frame.f_back
         return _code_layer(getattr(getattr(fn, "__func__", fn), "__code__", None))
 

@@ -35,27 +35,16 @@ def broadcast(upc, team: Team, nbytes: float, root_rank: int = 0, value: Any = N
         raise UpcError(f"root rank {root_rank} out of range for team of {size}")
     tag = team.op_tag(upc.MYTHREAD)
     rel = (me - root_rank) % size
-    sanitizer = upc.sim.sanitizer
 
-    box = upc.program.flag((tag, "value"))
-    if rel == 0 and not box.done:
-        if sanitizer.enabled:
-            sanitizer.release(("flag", tag, "value"), upc.MYTHREAD)
-        box.succeed(value)
-
-    # Binomial tree: receive from my parent, then fan out to my children
-    # at decreasing strides.
+    # Binomial tree: receive the value from my parent, then fan it out to
+    # my children at decreasing strides, each in its own one-reader flag.
     parent, children = binomial_tree(rel, size)
     if parent is not None:
-        yield from consume_flag(upc, tag, rel)
+        value = yield from consume_flag(upc, tag, rel)
     for child_rel in reversed(children):
         yield from upc.memput(team.thread_at((child_rel + root_rank) % size), nbytes)
-        post_flag(upc, tag, child_rel)
-
-    result = yield box
-    if sanitizer.enabled:
-        sanitizer.acquire(("flag", tag, "value"), upc.MYTHREAD)
-    return result
+        post_flag(upc, tag, child_rel, value)
+    return value
 
 
 def reduce(

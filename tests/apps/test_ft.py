@@ -17,6 +17,7 @@ from repro.apps.ft import (
 )
 from repro.apps.ft.classes import FT_CLASSES
 from repro.apps.ft.data import FtState
+from repro.machine.memory import MemorySystem
 from repro.machine.presets import lehman
 
 
@@ -177,36 +178,55 @@ class TestDataPlane:
             st.gather_d1()
 
 
+@pytest.fixture
+def charged_work(monkeypatch):
+    """Every ``MemorySystem.compute`` charge of the test, in seconds."""
+    charged = []
+    compute = MemorySystem.compute
+
+    def spy(self, pu_index, work_seconds):
+        charged.append(work_seconds)
+        return compute(self, pu_index, work_seconds)
+
+    monkeypatch.setattr(MemorySystem, "compute", spy)
+    return charged
+
+
 class TestDistributedCorrectness:
-    """End-to-end: distributed checksums equal the serial reference."""
+    """End-to-end: distributed checksums equal the serial reference, and
+    no phase charges a zero-second compute (a transpose only streams)."""
 
     @pytest.mark.parametrize("variant", ["split", "overlap"])
-    def test_upc_variants_verified(self, variant):
+    def test_upc_variants_verified(self, variant, charged_work):
         r = run_ft("T", model="upc", variant=variant, threads=4,
                    threads_per_node=2, iterations=2)
         assert r["verified"]
+        assert charged_work and 0.0 not in charged_work
 
     def test_upc_async_split_verified(self):
         r = run_ft("T", model="upc", variant="split", threads=4,
                    threads_per_node=2, iterations=2, asynchronous=True)
         assert r["verified"]
 
-    def test_mpi_verified(self):
+    def test_mpi_verified(self, charged_work):
         r = run_ft("T", model="mpi", threads=4, threads_per_node=2, iterations=2)
         assert r["verified"]
+        assert charged_work and 0.0 not in charged_work
 
     @pytest.mark.parametrize("runtime", ["openmp", "cilk", "pool"])
-    def test_hybrid_runtimes_verified(self, runtime):
+    def test_hybrid_runtimes_verified(self, runtime, charged_work):
         r = run_ft("T", model="upc", variant="split", threads=2,
                    threads_per_node=2, omp_threads=2,
                    subthread_runtime=runtime, iterations=1)
         assert r["verified"]
+        assert charged_work and 0.0 not in charged_work
 
-    def test_hybrid_overlap_verified(self):
+    def test_hybrid_overlap_verified(self, charged_work):
         """Overlap + sub-threads = THREAD_MULTIPLE comm from sub-threads."""
         r = run_ft("T", model="upc", variant="overlap", threads=2,
                    threads_per_node=1, omp_threads=2, iterations=1)
         assert r["verified"]
+        assert charged_work and 0.0 not in charged_work
 
     def test_pthreads_backend_verified(self):
         r = run_ft("T", model="upc", variant="split", threads=4,

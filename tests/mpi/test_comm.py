@@ -229,6 +229,19 @@ class TestCollectives:
 
         assert prog.run(main).returns == ["gold"] * ranks
 
+    @pytest.mark.parametrize("ranks", [3, 4, 6])
+    def test_bcast_drops_consumed_flags(self, ranks):
+        prog = make_mpi(ranks=ranks, nodes=2)
+
+        def main(r):
+            v = "gold" if r.rank == 2 else None
+            out = yield from collectives.bcast(r, 64, root=2, value=v)
+            return out
+
+        assert prog.run(main).returns == ["gold"] * ranks
+        # each child's value flag has exactly one reader
+        assert prog._flags == {}
+
     def test_bcast_bad_root(self):
         prog = make_mpi(ranks=2)
 

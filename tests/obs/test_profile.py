@@ -33,10 +33,11 @@ from repro.obs.profile import (
     validate_profile,
     write_profiles,
 )
+from repro.obs.profile import cost
 from repro.obs.profile.__main__ import main as profile_main
 from repro.obs.profile.layers import PACKAGE_DIR, file_layer
 from repro.obs.session import arm, instrument
-from repro.sim.engine import OFF, Simulator
+from repro.sim.engine import OFF, Process, Simulator
 from repro.upc.runtime import UpcProgram
 
 
@@ -120,9 +121,28 @@ class TestEndToEndDeterminism:
         layers = {row[1] for row in snap["cost"]}
         assert "work" in phases, "the app's phase timer must bucket work"
         assert layers <= set(LAYERS)
-        # compute on a core, the put's wire time, and the engine's own
-        # wakeups, which the walk charges to the job base's run loop
-        assert {"sim.resources", "network", "gasnet"} <= layers
+        # compute on a core, the put's wire time, the engine's own
+        # wakeups, and the job base's spawns of the thread processes
+        assert {"sim.resources", "network", "sim.engine", "gasnet"} <= layers
+
+    def test_engine_wakeups_stay_in_the_engine(self, monkeypatch):
+        """The walk stops at the engine loop, so a ``Process._step``
+        wakeup with only engine frames below it is charged to the engine,
+        not to the launcher that called ``Simulator.run``."""
+        fallbacks = []
+        code_layer = cost._code_layer
+
+        def spy(code):
+            layer = code_layer(code)
+            if code is Process._step.__code__:
+                fallbacks.append(layer)
+            return layer
+
+        monkeypatch.setattr(cost, "_code_layer", spy)
+        snap = _run_profiled(threads=4)
+        assert fallbacks and set(fallbacks) == {"sim.engine"}
+        engine = sum(row[2] for row in snap["cost"] if row[1] == "sim.engine")
+        assert engine >= len(fallbacks)
 
     def test_host_samples_land_in_layers(self):
         with instrument("test", profile=True) as session:

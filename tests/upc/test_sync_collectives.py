@@ -134,6 +134,25 @@ class TestBroadcast:
 
         assert prog.run(main).returns == [[0, 1, 2]] * 4
 
+    @pytest.mark.parametrize("nthreads", [3, 4, 6])
+    def test_broadcast_and_allreduce_drop_their_flags(self, nthreads):
+        prog = make_program(threads=nthreads, nodes=2)
+
+        def main(upc):
+            v = "gold" if upc.MYTHREAD == 1 else None
+            got = yield from collectives.broadcast(
+                upc, upc.program.world, 8, root_rank=1, value=v
+            )
+            total = yield from collectives.allreduce(
+                upc, upc.program.world, upc.MYTHREAD, operator.add
+            )
+            return got, total
+
+        expected = ("gold", nthreads * (nthreads - 1) // 2)
+        assert prog.run(main).returns == [expected] * nthreads
+        # the value rides in the per-child flags, each read once
+        assert prog._flags == {}
+
 
 class TestReduce:
     @pytest.mark.parametrize("nthreads", [1, 2, 3, 5, 8])
