@@ -183,19 +183,14 @@ def _steal_round(upc, cfg: UtsConfig, stacks: List[StealStack],
 def _try_steal(upc, cfg: UtsConfig, stacks: List[StealStack],
                glob: _Global, local_set: set, v: int):
     """Probe one victim; True when its work landed on our stack."""
+    body = _try_steal_impl(upc, cfg, stacks, glob, local_set, v)
     tracer = upc.sim.tracer
     if not tracer.enabled:
-        result = yield from _try_steal_impl(upc, cfg, stacks, glob, local_set, v)
-        return result
-    span = tracer.begin(
-        thread_track(upc.MYTHREAD), f"steal<-{v}", names.CAT_STEAL,
+        return body
+    return tracer.spanned(
+        body, thread_track(upc.MYTHREAD), f"steal<-{v}", names.CAT_STEAL,
         args={"victim": v, "thief": upc.MYTHREAD},
     )
-    try:
-        result = yield from _try_steal_impl(upc, cfg, stacks, glob, local_set, v)
-        return result
-    finally:
-        tracer.end(span)
 
 
 def _try_steal_impl(upc, cfg: UtsConfig, stacks: List[StealStack],

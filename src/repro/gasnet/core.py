@@ -1,4 +1,4 @@
-"""GASNet core: thread attachment, backends, segments, AM rounds.
+"""GASNet core: thread attachment, backends, segments, put/get, AM rounds.
 
 A :class:`GasnetRuntime` binds a set of UPC threads (each with a node, a
 processing unit, and an owning OS process) to the fabric and the memory
@@ -25,9 +25,11 @@ from repro.network.fabric import Fabric
 from repro.network.model import NetworkParams
 from repro.obs import names
 from repro.obs.tracer import META_TRACK, thread_track
-from repro.sim import Simulator, StatsCollector
+from repro.sim import Process, Simulator, StatsCollector
 
-__all__ = ["ThreadLocation", "BackendConfig", "RetryPolicy", "GasnetRuntime"]
+__all__ = [
+    "ThreadLocation", "BackendConfig", "RetryPolicy", "GasnetRuntime", "Handle",
+]
 
 
 @dataclass(frozen=True)
@@ -251,33 +253,54 @@ class GasnetRuntime:
     ) -> Generator:
         """Move ``nbytes`` between src's and dst's segments (simulated).
 
-        ``direction`` is ``"put"`` (initiator writes remote) or ``"get"``
-        (initiator reads remote); the initiator is always ``src_thread``.
-        ``privatized=True`` models a user-cast local pointer: the runtime
-        call and segment lookup are skipped and the op is a plain memcpy
-        (only legal when ``can_bypass``).  ``initiator_pu`` redirects the
-        CPU-side costs to another core — how a *sub-thread* of the UPC
-        thread issues communication under THREAD_MULTIPLE.
+        The blocking ``upc_memput``/``upc_memget``: the caller ``yield
+        from``s the returned generator.  ``direction`` is ``"put"``
+        (initiator writes remote) or ``"get"`` (initiator reads remote);
+        the initiator is always ``src_thread``.  ``privatized=True``
+        models a user-cast local pointer: the runtime call and segment
+        lookup are skipped and the op is a plain memcpy (only legal when
+        ``can_bypass``).  ``initiator_pu`` redirects the CPU-side costs
+        to another core — how a *sub-thread* of the UPC thread issues
+        communication under THREAD_MULTIPLE.
         """
+        if direction not in ("put", "get"):
+            raise GasnetError(f"bad direction {direction!r}")
+        body = self._xfer(
+            src_thread, dst_thread, nbytes, direction, privatized, initiator_pu,
+        )
         tracer = self.sim.tracer
         if not tracer.enabled:
-            yield from self._xfer(
-                src_thread, dst_thread, nbytes, direction, privatized,
-                initiator_pu,
-            )
-            return
-        span = tracer.begin(
-            thread_track(src_thread), f"{direction}->{dst_thread}",
-            names.CAT_NETWORK,
-            args={"bytes": nbytes, "peer": dst_thread},
+            return body
+        return tracer.spanned(
+            body, thread_track(src_thread), f"{direction}->{dst_thread}",
+            names.CAT_NETWORK, args={"bytes": nbytes, "peer": dst_thread},
         )
-        try:
-            yield from self._xfer(
-                src_thread, dst_thread, nbytes, direction, privatized,
-                initiator_pu,
-            )
-        finally:
-            tracer.end(span)
+
+    def xfer_nb(
+        self,
+        src_thread: int,
+        dst_thread: int,
+        nbytes: float,
+        direction: str = "put",
+        privatized: bool = False,
+        initiator_pu: Optional[int] = None,
+    ) -> "Handle":
+        """Initiate :meth:`xfer` without blocking; returns a :class:`Handle`.
+
+        Berkeley UPC's ``bupc_memput_async`` of Fig 3.4(b): the caller
+        overlaps computation and later waits on the handle.  Initiation
+        software cost is part of the spawned operation (the real call
+        returns after injecting; the distinction is below the resolution
+        the experiments need).
+        """
+        body = self.xfer(
+            src_thread, dst_thread, nbytes, direction, privatized, initiator_pu,
+        )
+        if direction == "put":
+            name = f"put_nb[{src_thread}->{dst_thread}]"
+        else:
+            name = f"get_nb[{src_thread}<-{dst_thread}]"
+        return Handle(self, self.sim.spawn(body, name=name), issued_at=self.sim.now)
 
     def _xfer(
         self,
@@ -288,8 +311,6 @@ class GasnetRuntime:
         privatized: bool,
         initiator_pu: Optional[int],
     ) -> Generator:
-        if direction not in ("put", "get"):
-            raise GasnetError(f"bad direction {direction!r}")
         src = self.location(src_thread)
         if initiator_pu is None:
             initiator_pu = src.pu
@@ -369,24 +390,16 @@ class GasnetRuntime:
         round; across the network it pays both message flights plus the
         handler's CPU time on the target core.
         """
+        body = self._am_roundtrip(
+            src_thread, dst_thread, request_bytes, reply_bytes, handler_work,
+        )
         tracer = self.sim.tracer
         if not tracer.enabled:
-            yield from self._am_roundtrip(
-                src_thread, dst_thread, request_bytes, reply_bytes,
-                handler_work,
-            )
-            return
-        span = tracer.begin(
-            thread_track(src_thread), f"am<->{dst_thread}", names.CAT_NETWORK,
-            args={"peer": dst_thread},
+            return body
+        return tracer.spanned(
+            body, thread_track(src_thread), f"am<->{dst_thread}",
+            names.CAT_NETWORK, args={"peer": dst_thread},
         )
-        try:
-            yield from self._am_roundtrip(
-                src_thread, dst_thread, request_bytes, reply_bytes,
-                handler_work,
-            )
-        finally:
-            tracer.end(span)
 
     def _am_roundtrip(
         self,
@@ -427,3 +440,39 @@ class GasnetRuntime:
                 src_thread=src_thread,
             )
         yield self.mem.compute(src.pu, self.fabric.params.recv_overhead)
+
+
+class Handle:
+    """Completion handle of one :meth:`GasnetRuntime.xfer_nb` operation.
+
+    Timing statistics separate *initiation* cost (charged inside the
+    spawned operation) from *synchronization* wait time, so the harness
+    can reproduce the paper's init-vs-waitsync breakdown.
+    """
+
+    def __init__(self, runtime: GasnetRuntime, process: Process, issued_at: float):
+        self._runtime = runtime
+        self._process = process
+        self.issued_at = issued_at
+        self._synced = False
+
+    @property
+    def done(self) -> bool:
+        return self._process.done
+
+    def wait(self) -> Generator:
+        """Simulated generator (``upc_waitsync``): block until the
+        operation completes.
+
+        Records the blocked time under ``gasnet.waitsync`` so harnesses
+        can separate overlap wins from raw transfer time.
+        """
+        if self._synced:
+            raise GasnetError("handle already synchronized")
+        self._synced = True
+        start = self._runtime.sim.now
+        yield self._process
+        self._runtime.stats.add(
+            names.GASNET_WAITSYNC_TIME, self._runtime.sim.now - start
+        )
+        self._runtime.stats.count(names.GASNET_WAITSYNC)

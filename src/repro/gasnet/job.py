@@ -30,6 +30,9 @@ class ProgramResult:
     returns: List[Any]             #: per-rank return values
     stats: StatsCollector
     sim: Simulator
+    #: the engine's counts (``Simulator.engine_counts``; heap peak 0
+    #: unless traced)
+    engine: Dict[str, int]
     #: sanitizer findings (empty unless run under a sanitizing session)
     findings: List[Any] = field(default_factory=list)
 
@@ -140,6 +143,7 @@ class SpmdJob:
             returns=[p.result for p in procs],
             stats=self.stats,
             sim=self.sim,
+            engine=self.sim.engine_counts(),
             findings=list(sanitizer.findings) if sanitizer.enabled else [],
         )
 
@@ -170,4 +174,11 @@ class LocalWork:
 
     def local_stream(self, bytes_read: float, bytes_written: float) -> Generator:
         """Stream traffic against this context's own segment."""
-        yield from self.mem.stream(self.pu, bytes_read, bytes_written, self.my_socket)
+        return self.stream_from(self._home, bytes_read, bytes_written)
+
+    def stream_from(
+        self, owner_thread: int, bytes_read: float, bytes_written: float
+    ) -> Generator:
+        """Stream traffic against ``owner_thread``'s segment (must share a node)."""
+        home = self.gasnet.segment_socket(owner_thread)
+        yield from self.mem.stream(self.pu, bytes_read, bytes_written, home)

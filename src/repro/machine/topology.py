@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterator, List
+from typing import List
 
 from repro.errors import TopologyError
 
@@ -268,9 +268,6 @@ class MachineTopology:
         if level == Locality.NODE:
             return self.nodes[p.node_index].pu_indices
         return tuple(range(self.total_pus))
-
-    def iter_pus(self) -> Iterator[ProcessingUnit]:
-        return iter(self.pus)
 
     def same_node(self, pu_a: int, pu_b: int) -> bool:
         return self.pu(pu_a).node_index == self.pu(pu_b).node_index

@@ -3,7 +3,8 @@
 A :class:`Tracer` records what one simulated run *did* on a set of named
 **tracks** — one per simulated UPC thread, one per NIC pipe, one per
 machine node — in simulated time.  Layers emit through narrow hook
-methods (``begin``/``end``/``instant``/``counter``/``comm``).  Every hook
+methods (``begin``/``end``/``instant``/``counter``/``comm``, and
+``spanned``, which wraps a generator body in one span).  Every hook
 site guards with ``if sim.tracer.enabled:``; an untraced simulator holds
 the engine's shared off-sink there, so an untraced run pays one
 attribute load and a predicted branch per hook site.
@@ -18,7 +19,7 @@ seed therefore export byte-identical JSON — the same discipline as
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 from repro.obs import names
 
@@ -173,6 +174,23 @@ class Tracer:
         if args:
             span.args = {**(span.args or {}), **args}
 
+    def spanned(self, body: Generator, track: TrackKey, name: str,
+                category: str = names.CAT_OTHER,
+                args: Optional[dict] = None) -> Generator:
+        """Run the simulated generator ``body`` inside one span.
+
+        The span opens at the first step and closes however ``body``
+        ends: on return (whose value this returns), on an exception, or
+        at the instant its process is killed.  A hook site builds its
+        body once and wraps it only when tracing, so traced and untraced
+        runs execute the same code.
+        """
+        span = self.begin(track, name, category, args)
+        try:
+            return (yield from body)
+        finally:
+            self.end(span)
+
     def instant(self, track: TrackKey, name: str, category: str = names.CAT_OTHER,
                 args: Optional[dict] = None) -> None:
         self._ensure_track(track)
@@ -217,10 +235,10 @@ class Tracer:
     def finalize(self, t_end: float) -> None:
         """Close open spans at ``t_end`` and fix the run's end time.
 
-        Also harvests the simulator's engine self-measurement (tallied
-        only while this tracer was armed) into :attr:`engine_metrics`
-        and publishes each metric as a counter sample on the meta track,
-        so exported traces and offline analytics both see them.
+        Also copies the simulator's engine counts into
+        :attr:`engine_metrics` and publishes each as a counter sample on
+        the meta track, so exported traces and offline analytics both
+        see them.
         """
         first = self.t_end is None
         if self.t_end is None or t_end > self.t_end:
@@ -229,13 +247,7 @@ class Tracer:
             if span.t1 is None:
                 span.t1 = t_end
         if first and self.sim is not None:
-            sim = self.sim
-            # Every push draws one sequence number, so the next number is
-            # the push count; a pushed event no longer on the heap was
-            # popped.
-            popped = next(sim._seq) - len(sim._heap)
-            metrics = {**sim.engine_metrics, names.ENGINE_EVENTS_POPPED: popped}
-            self.engine_metrics = {n: metrics[n] for n in names.ENGINE_METRICS}
+            self.engine_metrics = self.sim.engine_counts()
             for name in names.ENGINE_METRICS:
                 self.counter(META_TRACK, name, self.engine_metrics[name])
 

@@ -217,8 +217,7 @@ class Process(Awaitable):
         if self._done or self._cancelled:
             return
         self._waiting_on = None
-        if self.sim.tracer.enabled:
-            self.sim.engine_metrics[_metric_names.ENGINE_CONTEXT_SWITCHES] += 1
+        self.sim.context_switches += 1
         if self.sim.profiler.enabled:
             self.sim.profiler.context_switch(self)
         try:
@@ -271,7 +270,7 @@ class Process(Awaitable):
         sim = self.sim
         heapq.heappush(sim._heap, (sim.now, 0, next(sim._seq), self._step, args))
         if sim.tracer.enabled or sim.profiler.enabled:
-            sim._tally_push(sim.now, self._step)
+            sim._tally_push(False, self._step)
 
     def kill(self) -> None:
         """Terminate the process without running any more of its code."""
@@ -385,52 +384,65 @@ class Simulator:
         #: start as the shared :data:`OFF`; ``repro.obs.session.arm`` sets
         #: the ones an ``instrument()`` session turns on.
         self.tracer = self.sanitizer = self.profiler = OFF
-        #: Engine self-measurement, tallied only while a tracer is armed
-        #: (the untraced hot path keeps its single-branch guard) and
-        #: published as counter samples by ``Tracer.finalize``, which
-        #: derives the fourth metric, events popped, from the heap.
-        self.engine_metrics: dict = {
-            _metric_names.ENGINE_HEAP_PEAK: 0,
-            _metric_names.ENGINE_CONTEXT_SWITCHES: 0,
-            _metric_names.ENGINE_COSTED_CYCLES: 0,
-        }
+        #: Engine self-measurement, counted on every run (see
+        #: :meth:`engine_counts`): generator steps, pushes at a future
+        #: instant, and the heap peak, which only a traced run tracks.
+        self.context_switches = 0
+        self.costed_cycles = 0
+        self.heap_peak = 0
 
     # -- scheduling --------------------------------------------------
 
     def schedule_at(
         self, time: float, fn: Callable, *args: Any, priority: int = 0
     ) -> None:
-        if time < self.now:
+        costed = time > self.now
+        if costed:
+            self.costed_cycles += 1
+        elif time < self.now:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}"
             )
         heapq.heappush(self._heap, (time, priority, next(self._seq), fn, args))
         if self.tracer.enabled or self.profiler.enabled:
-            self._tally_push(time, fn)
+            self._tally_push(costed, fn)
 
     def schedule_after(
         self, dt: float, fn: Callable, *args: Any, priority: int = 0
     ) -> None:
         self.schedule_at(self.now + dt, fn, *args, priority=priority)
 
-    def _tally_push(self, time: float, fn: Callable) -> None:
-        """Instrumentation tallies of one heap push at ``time``.
+    def _tally_push(self, costed: bool, fn: Callable) -> None:
+        """Instrumentation of one heap push (``costed``: at a future instant).
 
         Every push site calls this only while a tracer or profiler is
-        armed.  Every event at a *future* instant is one charged
-        simulated cost — delays, resource transfers, network latencies;
-        same-instant wakeups are scheduling artifacts and stay free.
+        armed.  A traced run tracks the heap peak here; the profiler
+        attributes the push to the layer that scheduled it.
         """
-        costed = time > self.now
-        if self.tracer.enabled:
-            metrics = self.engine_metrics
-            if len(self._heap) > metrics[_metric_names.ENGINE_HEAP_PEAK]:
-                metrics[_metric_names.ENGINE_HEAP_PEAK] = len(self._heap)
-            if costed:
-                metrics[_metric_names.ENGINE_COSTED_CYCLES] += 1
+        if self.tracer.enabled and len(self._heap) > self.heap_peak:
+            self.heap_peak = len(self._heap)
         if self.profiler.enabled:
-            # The same split, attributed to the scheduling site.
             self.profiler.event_scheduled(fn, costed)
+
+    def engine_counts(self) -> dict:
+        """The engine's self-measurement so far, keyed by metric name.
+
+        Every push draws one ``_seq`` number, so the next number is the
+        push count, and a pushed event no longer on the heap was popped.
+        The number drawn here is handed back, so reading the counts is
+        not a push.  Every event at a *future* instant is one costed
+        cycle: delays, resource transfers, network latencies; same-instant
+        wakeups are scheduling artifacts and stay free.  The heap peak is
+        0 on an untraced run.
+        """
+        pushes = next(self._seq)
+        self._seq = itertools.count(pushes)
+        return {
+            _metric_names.ENGINE_EVENTS_POPPED: pushes - len(self._heap),
+            _metric_names.ENGINE_HEAP_PEAK: self.heap_peak,
+            _metric_names.ENGINE_CONTEXT_SWITCHES: self.context_switches,
+            _metric_names.ENGINE_COSTED_CYCLES: self.costed_cycles,
+        }
 
     # -- awaitable factories -----------------------------------------
 

@@ -51,10 +51,6 @@ class Resource:
     def in_use(self) -> int:
         return self._in_use
 
-    @property
-    def queue_length(self) -> int:
-        return len(self._queue)
-
     def acquire(self) -> Event:
         """Return an event that succeeds once the caller holds the resource."""
         ev = Event(self.sim)

@@ -16,7 +16,6 @@ import enum
 from typing import Generator, Optional
 
 from repro.errors import SubthreadError
-from repro.gasnet import extended
 from repro.gasnet.job import LocalWork
 from repro.sim import Resource
 
@@ -36,7 +35,9 @@ class SubthreadContext(LocalWork):
     """What one sub-thread sees: its identity, core, and permitted services.
 
     Compute and memory streaming are always allowed (they are plain
-    shared-memory work, scaled by the runtime's ``work_inflation``).  UPC
+    shared-memory work, scaled by the runtime's ``work_inflation``), and
+    ``stream_from`` reaches any UPC thread's segment on the node: PGAS
+    reach extends to sub-threads, unlike MPI+threads (§4.1.2).  UPC
     communication is gated by the job's :class:`ThreadSafety` level.
     """
 
@@ -61,16 +62,6 @@ class SubthreadContext(LocalWork):
         self.mem = upc.mem
         self.gasnet = upc.gasnet
         self._home = upc.MYTHREAD
-
-    # -- local work (compute, compute_flops, local_stream: LocalWork) ---------
-
-    def stream_from(
-        self, owner_thread: int, bytes_read: float, bytes_written: float
-    ) -> Generator:
-        """Stream against a UPC thread's segment — PGAS reach extends to
-        sub-threads (unlike MPI+threads, §4.1.2)."""
-        home = self.gasnet.segment_socket(owner_thread)
-        yield from self.mem.stream(self.pu, bytes_read, bytes_written, home)
 
     # -- UPC communication (gated) ----------------------------------------------
 
@@ -99,15 +90,13 @@ class SubthreadContext(LocalWork):
             self._comm_mutex.release()
 
     def memput(self, dst_thread: int, nbytes: float, privatized: bool = False):
-        return self._gated(extended.put(
-            self.gasnet, self.upc.MYTHREAD, dst_thread, nbytes,
-            privatized, initiator_pu=self.pu,
+        return self._gated(self.gasnet.xfer(
+            self._home, dst_thread, nbytes, "put", privatized, initiator_pu=self.pu,
         ))
 
     def memget(self, src_thread: int, nbytes: float, privatized: bool = False):
-        return self._gated(extended.get(
-            self.gasnet, self.upc.MYTHREAD, src_thread, nbytes,
-            privatized, initiator_pu=self.pu,
+        return self._gated(self.gasnet.xfer(
+            self._home, src_thread, nbytes, "get", privatized, initiator_pu=self.pu,
         ))
 
     def memput_nb(self, dst_thread: int, nbytes: float, privatized: bool = False):
@@ -117,9 +106,8 @@ class SubthreadContext(LocalWork):
                 "THREAD_SERIALIZED cannot express non-blocking overlap; "
                 "use MULTIPLE"
             )
-        return extended.put_nb(
-            self.upc.gasnet, self.upc.MYTHREAD, dst_thread, nbytes,
-            privatized, initiator_pu=self.pu,
+        return self.gasnet.xfer_nb(
+            self._home, dst_thread, nbytes, "put", privatized, initiator_pu=self.pu,
         )
 
     def __repr__(self) -> str:

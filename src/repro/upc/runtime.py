@@ -16,8 +16,7 @@ import math
 from typing import Any, Callable, Dict, Generator, List, NoReturn, Optional
 
 from repro.errors import UpcError
-from repro.gasnet import BackendConfig, ThreadLocation, extended
-from repro.gasnet.extended import Handle
+from repro.gasnet import BackendConfig, Handle, ThreadLocation
 from repro.gasnet.job import LocalWork, ProgramResult, SpmdJob
 from repro.machine.affinity import (
     AffinityMask,
@@ -327,15 +326,8 @@ class Upc(LocalWork):
         """Get (creating on first use) the named global lock."""
         return self.program.get_lock(key, affinity_thread)
 
-    # -- compute & memory cost charging (compute, compute_flops and
-    # local_stream come from LocalWork) ----------------------------------------
-
-    def stream_from(
-        self, owner_thread: int, bytes_read: float, bytes_written: float
-    ) -> Generator:
-        """Stream traffic against ``owner_thread``'s segment (must share a node)."""
-        home = self.gasnet.segment_socket(owner_thread)
-        yield from self.mem.stream(self.pu, bytes_read, bytes_written, home)
+    # -- compute & memory cost charging (compute, compute_flops,
+    # local_stream and stream_from come from LocalWork) ------------------------
 
     def charge_shared_accesses(self, accesses: int) -> Generator:
         """Shared-pointer translation cost for ``accesses`` dereferences."""
@@ -344,16 +336,16 @@ class Upc(LocalWork):
     # -- point-to-point memory ops ----------------------------------------------
 
     def memput(self, dst_thread: int, nbytes: float, privatized: bool = False) -> Generator:
-        yield from extended.put(self.gasnet, self.MYTHREAD, dst_thread, nbytes, privatized)
+        return self.gasnet.xfer(self.MYTHREAD, dst_thread, nbytes, "put", privatized)
 
     def memget(self, src_thread: int, nbytes: float, privatized: bool = False) -> Generator:
-        yield from extended.get(self.gasnet, self.MYTHREAD, src_thread, nbytes, privatized)
+        return self.gasnet.xfer(self.MYTHREAD, src_thread, nbytes, "get", privatized)
 
     def memput_nb(self, dst_thread: int, nbytes: float, privatized: bool = False) -> Handle:
-        return extended.put_nb(self.gasnet, self.MYTHREAD, dst_thread, nbytes, privatized)
+        return self.gasnet.xfer_nb(self.MYTHREAD, dst_thread, nbytes, "put", privatized)
 
     def memget_nb(self, src_thread: int, nbytes: float, privatized: bool = False) -> Handle:
-        return extended.get_nb(self.gasnet, self.MYTHREAD, src_thread, nbytes, privatized)
+        return self.gasnet.xfer_nb(self.MYTHREAD, src_thread, nbytes, "get", privatized)
 
     def can_cast(self, other_thread: int) -> bool:
         """True when ``bupc_cast`` of a pointer into other's memory works."""

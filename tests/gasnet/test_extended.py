@@ -1,9 +1,8 @@
-"""Unit tests for non-blocking put/get handles."""
+"""Unit tests for blocking and non-blocking put/get (``xfer``/``xfer_nb``)."""
 
 import pytest
 
 from repro.errors import GasnetError
-from repro.gasnet import extended
 
 from tests.gasnet.conftest import build_runtime
 
@@ -18,7 +17,7 @@ class TestNonBlocking:
         log = []
 
         def proc(rt):
-            h = extended.put_nb(rt, 0, 1, 1 << 20)
+            h = rt.xfer_nb(0, 1, 1 << 20)
             log.append(("issued", rt.sim.now))
             yield from h.wait()
             log.append(("done", rt.sim.now))
@@ -30,10 +29,10 @@ class TestNonBlocking:
         assert log[1][1] > 0.0
 
     def test_overlap_hides_transfer(self, sim, rt):
-        """Compute issued after put_nb overlaps with the wire time."""
+        """Compute issued after a non-blocking put overlaps with the wire time."""
 
         def overlapped(rt):
-            h = extended.put_nb(rt, 0, 1, 4 << 20)
+            h = rt.xfer_nb(0, 1, 4 << 20)
             yield rt.mem.compute(rt.location(0).pu, 0.01)
             yield from h.wait()
             return rt.sim.now
@@ -48,7 +47,7 @@ class TestNonBlocking:
 
     def test_double_wait_rejected(self, sim, rt):
         def proc(rt):
-            h = extended.put_nb(rt, 0, 1, 8)
+            h = rt.xfer_nb(0, 1, 8)
             yield from h.wait()
             yield from h.wait()
 
@@ -58,7 +57,7 @@ class TestNonBlocking:
 
     def test_waitsync_time_recorded(self, sim, rt):
         def proc(rt):
-            h = extended.put_nb(rt, 0, 1, 8 << 20)
+            h = rt.xfer_nb(0, 1, 8 << 20)
             yield from h.wait()
 
         sim.spawn(proc(rt))
@@ -69,7 +68,7 @@ class TestNonBlocking:
 
     def test_get_nb(self, sim, rt):
         def proc(rt):
-            h = extended.get_nb(rt, 0, 1, 1 << 16)
+            h = rt.xfer_nb(0, 1, 1 << 16, "get")
             yield from h.wait()
             return rt.sim.now
 
@@ -82,7 +81,7 @@ class TestNonBlocking:
         handles = {}
 
         def proc(rt):
-            h = extended.put_nb(rt, 0, 1, 1 << 20)
+            h = rt.xfer_nb(0, 1, 1 << 20)
             handles["h"] = h
             assert not h.done
             yield from h.wait()
@@ -92,11 +91,28 @@ class TestNonBlocking:
         sim.run()
         sim.raise_failures()
 
+    def test_bad_direction_raises_before_spawning(self, sim, rt):
+        with pytest.raises(GasnetError, match="bad direction 'post'"):
+            rt.xfer_nb(0, 1, 8, "post")
+        assert sim.pending == 0
+        assert not sim._live
+
+    @pytest.mark.parametrize("direction, name", [
+        ("put", "put_nb[0->1]"),
+        ("get", "get_nb[0<-1]"),
+    ])
+    def test_process_names(self, sim, rt, direction, name):
+        h = rt.xfer_nb(0, 1, 8, direction)
+        assert h._process.name == name
+        sim.run()
+        sim.raise_failures()
+        assert h.done
+
 
 class TestBlocking:
     def test_put_blocks_caller(self, sim, rt):
         def proc(rt):
-            yield from extended.put(rt, 0, 1, 1 << 20)
+            yield from rt.xfer(0, 1, 1 << 20, "put")
             return rt.sim.now
 
         p = sim.spawn(proc(rt))
@@ -106,7 +122,7 @@ class TestBlocking:
 
     def test_get_blocks_caller(self, sim, rt):
         def proc(rt):
-            yield from extended.get(rt, 0, 1, 1 << 20)
+            yield from rt.xfer(0, 1, 1 << 20, "get")
             return rt.sim.now
 
         p = sim.spawn(proc(rt))

@@ -90,3 +90,67 @@ class TestTracer:
         kills = [i for i in tr.instants if i.name == "kill victim"]
         assert len(kills) == 1
         assert kills[0].category == names.CAT_FAULT
+
+
+class TestSpanned:
+    """``Tracer.spanned`` wraps one generator body in one span."""
+
+    def _run(self, body_fn, kill_at=None):
+        sim = Simulator()
+        tr = Tracer(sim, label="t")
+        sim.tracer = tr
+        out = {}
+
+        def proc():
+            try:
+                out["value"] = yield from tr.spanned(
+                    body_fn(sim), thread_track(0), "op", names.CAT_NETWORK,
+                    args={"peer": 1},
+                )
+            except KeyError as exc:
+                out["error"] = exc
+
+        p = sim.spawn(proc(), name="worker")
+        if kill_at is not None:
+            sim.schedule_at(kill_at, p.kill)
+        sim.schedule_at(0.5, lambda: out.setdefault("open", tr.spans[0].t1))
+        sim.run()
+        (span,) = tr.spans
+        assert span.name == "op" and span.args == {"peer": 1}
+        assert span.category == names.CAT_NETWORK
+        assert out.pop("open") is None  # still open mid-body
+        return span, out
+
+    @staticmethod
+    def _body(sim, fail=False):
+        yield sim.delay(1.0)
+        if fail:
+            raise KeyError("boom")
+        yield sim.delay(1.0)
+        return 42
+
+    def test_returns_body_value_and_closes(self):
+        span, out = self._run(self._body)
+        assert out == {"value": 42}
+        assert (span.t0, span.t1) == (0.0, 2.0)
+
+    def test_closes_when_body_raises(self):
+        span, out = self._run(lambda sim: self._body(sim, fail=True))
+        assert isinstance(out["error"], KeyError)
+        assert (span.t0, span.t1) == (0.0, 1.0)
+
+    def test_closes_at_kill_instant(self):
+        span, out = self._run(self._body, kill_at=1.5)
+        assert out == {}
+        # no finalize ran: the finally of spanned closed it at the kill
+        assert (span.t0, span.t1) == (0.0, 1.5)
+
+    def test_opens_at_first_step(self):
+        sim = Simulator()
+        tr = Tracer(sim, label="t")
+        wrapped = tr.spanned(self._body(sim), thread_track(0), "op")
+        assert tr.spans == []
+        sim.schedule_at(3.0, lambda: sim.spawn(wrapped))
+        sim.run()
+        (span,) = tr.spans
+        assert (span.t0, span.t1) == (3.0, 5.0)
