@@ -31,6 +31,9 @@ __all__ = [
     "ThreadLocation", "BackendConfig", "RetryPolicy", "GasnetRuntime", "Handle",
 ]
 
+#: Bytes of an active-message request, and of its reply.
+AM_MESSAGE_BYTES = 64.0
+
 
 @dataclass(frozen=True)
 class RetryPolicy:
@@ -376,23 +379,15 @@ class GasnetRuntime:
 
     # -- active messages -----------------------------------------------------
 
-    def am_roundtrip(
-        self,
-        src_thread: int,
-        dst_thread: int,
-        request_bytes: float = 64.0,
-        reply_bytes: float = 64.0,
-        handler_work: Optional[float] = None,
-    ) -> Generator:
+    def am_roundtrip(self, src_thread: int, dst_thread: int) -> Generator:
         """One request/reply active-message round (e.g. a lock attempt).
 
         Between shared-memory threads this is a cache-coherent atomic
-        round; across the network it pays both message flights plus the
-        handler's CPU time on the target core.
+        round; across the network it pays both message flights of
+        :data:`AM_MESSAGE_BYTES` plus the backend's ``am_handler_time`` on
+        the target core.
         """
-        body = self._am_roundtrip(
-            src_thread, dst_thread, request_bytes, reply_bytes, handler_work,
-        )
+        body = self._am_roundtrip(src_thread, dst_thread)
         tracer = self.sim.tracer
         if not tracer.enabled:
             return body
@@ -401,18 +396,10 @@ class GasnetRuntime:
             names.CAT_NETWORK, args={"peer": dst_thread},
         )
 
-    def _am_roundtrip(
-        self,
-        src_thread: int,
-        dst_thread: int,
-        request_bytes: float,
-        reply_bytes: float,
-        handler_work: Optional[float],
-    ) -> Generator:
+    def _am_roundtrip(self, src_thread: int, dst_thread: int) -> Generator:
         src = self.location(src_thread)
         dst = self.location(dst_thread)
-        if handler_work is None:
-            handler_work = self.backend.am_handler_time
+        handler_work = self.backend.am_handler_time
         self.stats.count(names.GASNET_AM_ROUNDTRIPS)
         if self.can_bypass(src_thread, dst_thread):
             yield self.mem.compute(src.pu, self.backend.shm_roundtrip)
@@ -420,9 +407,11 @@ class GasnetRuntime:
         yield self.mem.compute(src.pu, self.fabric.params.send_overhead)
 
         def round_() -> Generator:
-            yield from self.fabric.transmit(src_thread, dst_thread, request_bytes)
+            yield from self.fabric.transmit(src_thread, dst_thread,
+                                            AM_MESSAGE_BYTES)
             yield self.mem.compute(dst.pu, handler_work)
-            yield from self.fabric.transmit(dst_thread, src_thread, reply_bytes)
+            yield from self.fabric.transmit(dst_thread, src_thread,
+                                            AM_MESSAGE_BYTES)
 
         if self.fault_injector is None:
             yield from round_()
@@ -430,9 +419,9 @@ class GasnetRuntime:
             # A lost request or reply retries the whole round: AM
             # handlers must be (and here are) idempotent at-least-once.
             expected = (
-                self.fabric.params.message_time(request_bytes)
+                self.fabric.params.message_time(AM_MESSAGE_BYTES)
                 + handler_work
-                + self.fabric.params.message_time(reply_bytes)
+                + self.fabric.params.message_time(AM_MESSAGE_BYTES)
             )
             yield from self._reliable(
                 dst_thread, round_, expected,

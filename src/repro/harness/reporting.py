@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -89,51 +88,6 @@ class ExperimentResult:
     @property
     def shape_ok(self) -> bool:
         return not self.shape_failures
-
-    # -- serialization ----------------------------------------------------
-    #
-    # Results cross process boundaries (parallel workers) and sit in the
-    # on-disk cache, so they must survive pickle and JSON round trips
-    # *exactly* — including the insertion order of series points and
-    # their integer x-values, which plain JSON dict keys would turn into
-    # strings.  Series are therefore encoded as ordered [x, y] pairs.
-
-    def to_dict(self) -> Dict:
-        """JSON-safe dict; ``from_dict`` inverts it exactly."""
-        return {
-            "experiment_id": self.experiment_id,
-            "title": self.title,
-            "scale": self.scale,
-            "rows": self.rows,
-            "series": {name: [[x, y] for x, y in ys.items()]
-                       for name, ys in self.series.items()},
-            "x_label": self.x_label,
-            "notes": self.notes,
-            "paper_values": self.paper_values,
-            "shape_failures": self.shape_failures,
-            "breakdown": self.breakdown,
-            "comm_matrix": self.comm_matrix,
-            "sanitized": self.sanitized,
-            "sanitizer_findings": self.sanitizer_findings,
-            "campaign": self.campaign,
-            "failures": self.failures,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict) -> "ExperimentResult":
-        data = dict(data)
-        data["series"] = {name: {x: y for x, y in pairs}
-                          for name, pairs in data.get("series", {}).items()}
-        return cls(**data)
-
-    def to_json(self) -> str:
-        # no sort_keys: row dicts render their columns in insertion
-        # order, and a round trip must not reorder the report's tables
-        return json.dumps(self.to_dict())
-
-    @classmethod
-    def from_json(cls, text: str) -> "ExperimentResult":
-        return cls.from_dict(json.loads(text))
 
     def render(self) -> str:
         parts = [f"## {self.title} [{self.experiment_id}, scale={self.scale}]", ""]

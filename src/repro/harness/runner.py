@@ -59,18 +59,6 @@ class Experiment:
     #: True when the campaign takes a fault plan (the ``--faults`` flag).
     accepts_faults: bool = False
 
-    def __call__(self, scale: str = "quick", faults=None) -> ExperimentResult:
-        if scale not in SCALES:
-            raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
-        if faults is not None and not self.accepts_faults:
-            raise ValueError(
-                f"experiment {self.experiment_id!r} does not accept a "
-                "--faults spec"
-            )
-        from repro.harness.campaign import Campaign
-
-        return Campaign(self, scale=scale, faults=faults).run().result
-
 
 class _Registry:
     """Lazy experiment registry (experiments import heavy app code)."""
@@ -169,6 +157,8 @@ def run_experiment(
     run's rendered report stays byte-identical to a plain run (the same
     zero-perturbation contract the tracer honors for simulated results).
     """
+    if scale not in SCALES:
+        raise ValueError(f"scale must be one of {SCALES}, got {scale!r}")
     exp = get_experiment(experiment_id)
     if faults and not exp.accepts_faults:
         raise ValueError(

@@ -111,6 +111,8 @@ class SmtCore(SharedBandwidth):
         self.smt_factor = smt_factor
 
     def _aggregate_rate(self, n: int) -> float:
+        """Reads only ``n``: the SMT constants are fixed and the set rate
+        stays 1.0, so the pipe's per-``n`` cache holds."""
         if n <= 1:
             return 1.0
         return 1.0 + (self.smt_factor - 1.0) * min(n - 1, self.smt_ways - 1)

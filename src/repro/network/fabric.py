@@ -48,24 +48,6 @@ class Endpoint:
     connection: Connection
 
 
-class _NicPipe(SharedBandwidth):
-    """A NIC direction whose aggregate rate degrades with the number of
-    simultaneously active connections on its node (QP thrashing; see
-    :meth:`NetworkParams.nic_efficiency`)."""
-
-    def __init__(self, sim: Simulator, fabric: "Fabric", node: int, name: str):
-        super().__init__(
-            sim, fabric.params.nic_bw, name=name, fifo=fabric.params.fifo_links
-        )
-        self._fabric = fabric
-        self._node = node
-
-    def _aggregate_rate(self, n: int) -> float:
-        active = self._fabric.active_connections_on_node(self._node)
-        rate = self.rate * self._fabric.params.nic_efficiency(active)
-        return rate * self._fabric.degrade_factor(self._node)
-
-
 class Fabric:
     """All NICs, connections and wires of one cluster."""
 
@@ -85,11 +67,13 @@ class Fabric:
         #: degradation edges by :meth:`reprice_node`.
         self._degrade: Dict[int, float] = {n.index: 1.0 for n in topo.nodes}
         self.nic_tx = [
-            _NicPipe(sim, self, n.index, name=f"nic.tx{n.index}")
+            SharedBandwidth(sim, params.nic_bw, name=f"nic.tx{n.index}",
+                            fifo=params.fifo_links)
             for n in topo.nodes
         ]
         self.nic_rx = [
-            _NicPipe(sim, self, n.index, name=f"nic.rx{n.index}")
+            SharedBandwidth(sim, params.nic_bw, name=f"nic.rx{n.index}",
+                            fifo=params.fifo_links)
             for n in topo.nodes
         ]
         self.loopback = [
@@ -124,14 +108,9 @@ class Fabric:
         the interval since their last update at the factor applied so
         far; the new factor then prices what remains of them.
         """
-        pipes = (self.nic_tx[node_index], self.nic_rx[node_index])
-        for pipe in pipes:
-            pipe._advance()
         factor = self.injector.degrade_factor(node_index)
         self._degrade[node_index] = factor
-        for pipe in pipes:
-            pipe._invalidate_rate()
-            pipe._reschedule()
+        self._reprice(node_index)
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.instant(
@@ -189,17 +168,8 @@ class Fabric:
         return self._active_conns[node_index]
 
     def _conn_activity(self, conn: Connection, delta: int) -> None:
-        """Adjust a connection's in-flight count, repricing its node's NICs.
-
-        Pipes are advanced *before* the count change (progress so far was
-        made at the old efficiency) and rescheduled after it.  Only a
-        change in the node's active-connection count moves the NIC rate,
-        so only then are the pipes' cached rates invalidated.
-        """
+        """Adjust a connection's in-flight count, repricing its node's NICs."""
         node = conn.key[0]
-        pipes = (self.nic_tx[node], self.nic_rx[node])
-        for pipe in pipes:
-            pipe._advance()
         was_active = conn.active > 0
         conn.active += delta
         if conn.active < 0:
@@ -207,10 +177,17 @@ class Fabric:
         now_active = conn.active > 0
         if was_active != now_active:
             self._active_conns[node] += 1 if now_active else -1
-            for pipe in pipes:
-                pipe._invalidate_rate()
-        for pipe in pipes:
-            pipe._reschedule()
+        self._reprice(node)
+
+    def _reprice(self, node: int) -> None:
+        """Set a node's NIC rates (D2): nominal bandwidth times the
+        efficiency at its active-connection count, times its degradation."""
+        params = self.params
+        rate = (params.nic_bw * params.nic_efficiency(self._active_conns[node])
+                * self._degrade[node])
+        # An unchanged rate reprices too: returning early moves completions by an ULP.
+        self.nic_tx[node].set_rate(rate)
+        self.nic_rx[node].set_rate(rate)
 
     # -- data movement ----------------------------------------------------
 

@@ -62,7 +62,9 @@ class NetworkParams:
     qp_knee: int = 2
     qp_penalty: float = 0.05
     #: D4 ablation: serve NIC pipes strictly FIFO instead of processor
-    #: sharing (concurrent transfers then complete one after another).
+    #: sharing (concurrent transfers then complete one after another), at
+    #: the nominal ``nic_bw``: the D2 penalty and degradation set only the
+    #: processor-sharing rate.
     fifo_links: bool = False
 
     def __post_init__(self) -> None:

@@ -3,7 +3,7 @@
 Everything in :mod:`repro` runs on this kernel: UPC threads, sub-threads,
 network transfers and memory traffic are all simulated processes that
 advance a single virtual clock.  The kernel is single-threaded and orders
-events by ``(time, priority, sequence)``, so a seeded run is bit-for-bit
+events by ``(time, sequence)``, so a seeded run is bit-for-bit
 reproducible.
 
 The public surface mirrors the classic process-based DES idiom:

@@ -1,7 +1,7 @@
 """Core event loop and process machinery.
 
 The engine schedules callbacks on a binary heap keyed by
-``(time, priority, sequence)``.  Simulated *processes* are plain Python
+``(time, sequence)``.  Simulated *processes* are plain Python
 generators that ``yield`` :class:`Awaitable` objects — delays, one-shot
 events, other processes, or ``AllOf``/``AnyOf`` combinators — and are
 resumed with the awaitable's value once it completes.  Failures propagate
@@ -11,8 +11,8 @@ simulated code.
 Design notes
 ------------
 * Time is a ``float`` in seconds.  The engine never compares times for
-  equality; ties are broken by priority then a monotonically increasing
-  sequence number, which keeps runs deterministic.
+  equality; ties are broken by a monotonically increasing sequence
+  number (first scheduled, first run), which keeps runs deterministic.
 * ``yield from`` composes simulated subroutines with zero overhead in the
   engine; only top-level ``yield`` values reach the scheduler.
 * Cancellation is cooperative: ``Delay.cancel()`` and ``Event.cancel()``
@@ -170,12 +170,12 @@ class Delay(Awaitable):
 
     __slots__ = ("dt",)
 
-    def __init__(self, sim: "Simulator", dt: float, priority: int = 0):
+    def __init__(self, sim: "Simulator", dt: float):
         if dt < 0:
             raise ValueError(f"negative delay: {dt}")
         super().__init__(sim)
         self.dt = dt
-        sim.schedule_after(dt, self._fire, priority=priority)
+        sim.schedule_after(dt, self._fire)
 
     def _fire(self) -> None:
         self._complete(value=self.dt)
@@ -268,7 +268,7 @@ class Process(Awaitable):
         # An inlined ``schedule_after(0.0, ...)``: resumes are the
         # commonest push.
         sim = self.sim
-        heapq.heappush(sim._heap, (sim.now, 0, next(sim._seq), self._step, args))
+        heapq.heappush(sim._heap, (sim.now, next(sim._seq), self._step, args))
         if sim.tracer.enabled or sim.profiler.enabled:
             sim._tally_push(False, self._step)
 
@@ -369,7 +369,7 @@ class Simulator:
 
     def __init__(self) -> None:
         self.now: float = 0.0
-        self._heap: list[tuple[float, int, int, Callable, tuple]] = []
+        self._heap: list[tuple[float, int, Callable, tuple]] = []
         self._seq = itertools.count()
         self._running = False
         self.failures: list[tuple[Process, BaseException]] = []
@@ -393,9 +393,7 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------
 
-    def schedule_at(
-        self, time: float, fn: Callable, *args: Any, priority: int = 0
-    ) -> None:
+    def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
         costed = time > self.now
         if costed:
             self.costed_cycles += 1
@@ -403,14 +401,12 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time} before now={self.now}"
             )
-        heapq.heappush(self._heap, (time, priority, next(self._seq), fn, args))
+        heapq.heappush(self._heap, (time, next(self._seq), fn, args))
         if self.tracer.enabled or self.profiler.enabled:
             self._tally_push(costed, fn)
 
-    def schedule_after(
-        self, dt: float, fn: Callable, *args: Any, priority: int = 0
-    ) -> None:
-        self.schedule_at(self.now + dt, fn, *args, priority=priority)
+    def schedule_after(self, dt: float, fn: Callable, *args: Any) -> None:
+        self.schedule_at(self.now + dt, fn, *args)
 
     def _tally_push(self, costed: bool, fn: Callable) -> None:
         """Instrumentation of one heap push (``costed``: at a future instant).
@@ -474,7 +470,7 @@ class Simulator:
         self._running = True
         try:
             while self._heap:
-                time, _prio, _seq, fn, args = self._heap[0]
+                time, _seq, fn, args = self._heap[0]
                 if until is not None and time > until:
                     self.now = until
                     break
@@ -492,7 +488,7 @@ class Simulator:
         """Execute a single event; return False when the heap is empty."""
         if not self._heap:
             return False
-        time, _prio, _seq, fn, args = heapq.heappop(self._heap)
+        time, _seq, fn, args = heapq.heappop(self._heap)
         self.now = time
         fn(*args)
         return True

@@ -13,7 +13,7 @@ import collections
 import math
 import operator
 from bisect import bisect_right
-from typing import Any, Deque, Optional
+from typing import Any, Deque
 
 from repro.sim.engine import Event, SimulationError, Simulator
 
@@ -137,9 +137,10 @@ class SharedBandwidth:
 
     ``transfer(nbytes)`` returns an event that succeeds once the bytes have
     drained.  With ``n`` concurrent transfers each progresses at
-    ``rate / n`` (optionally capped at ``per_stream_rate``), so a transfer's
-    finish time depends on what else is in flight — exactly the contention
-    behaviour of a shared NIC or memory controller.
+    ``rate / n``, so a transfer's finish time depends on what else is in
+    flight — exactly the contention behaviour of a shared NIC or memory
+    controller.  :meth:`set_rate` changes the aggregate rate mid-flight
+    (the fabric sets a NIC's from its active connections and degradation).
 
     The in-flight remainders live in ``_rem``, a list kept sorted
     ascending, with ``_active`` holding their transfers in the same
@@ -151,25 +152,19 @@ class SharedBandwidth:
     completion is O(1); a drain is one list comprehension, run only when
     simulated time advanced.
 
-    Setting ``fifo=True`` degrades the pipe to strict FIFO service, used by
-    the D4 ablation in DESIGN.md.
+    Setting ``fifo=True`` degrades the pipe to strict FIFO service at the
+    nominal ``rate``, used by the D4 ablation in DESIGN.md.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        rate: float,
-        name: str = "",
-        per_stream_rate: Optional[float] = None,
-        fifo: bool = False,
-    ):
+    def __init__(self, sim: Simulator, rate: float, name: str = "",
+                 fifo: bool = False):
         if rate <= 0:
             raise ValueError(f"rate must be positive, got {rate}")
-        if per_stream_rate is not None and per_stream_rate <= 0:
-            raise ValueError(f"per_stream_rate must be positive, got {per_stream_rate}")
         self.sim = sim
+        #: The nominal rate: FIFO service and :meth:`time_for` use it.
         self.rate = float(rate)
-        self.per_stream_rate = per_stream_rate
+        #: The aggregate rate processor sharing divides (see :meth:`set_rate`).
+        self.live_rate = self.rate
         self.name = name
         self.fifo = fifo
         #: Remaining bytes of the in-flight transfers, sorted ascending.
@@ -182,7 +177,7 @@ class SharedBandwidth:
         self._last_update = sim.now
         self._timer_generation = 0
         #: The per-stream rate for ``_rate_n`` in-flight transfers; -1
-        #: marks it stale (see :meth:`_invalidate_rate`).
+        #: marks it stale (see :meth:`set_rate`).
         self._rate_n = -1
         self._stream_rate = 0.0
         # FIFO mode state.
@@ -225,10 +220,18 @@ class SharedBandwidth:
 
     def time_for(self, nbytes: float) -> float:
         """Uncontended service time for ``nbytes`` (for analytic checks)."""
-        stream_rate = self.rate
-        if self.per_stream_rate is not None:
-            stream_rate = min(stream_rate, self.per_stream_rate)
-        return nbytes / stream_rate
+        return nbytes / self.rate
+
+    def set_rate(self, rate: float) -> None:
+        """Make ``rate`` the aggregate rate of processor sharing.
+
+        Progress since the last update drains at the old rate; what
+        remains of the in-flight transfers is priced at the new one.
+        """
+        self._advance()
+        self.live_rate = rate
+        self._rate_n = -1
+        self._reschedule()
 
     # -- processor-sharing internals -----------------------------------
 
@@ -238,31 +241,17 @@ class SharedBandwidth:
         Subclasses override this for occupancy-dependent throughput, e.g.
         an SMT core whose two hardware threads together exceed the
         single-thread rate but each run slower than alone.  The result is
-        cached per ``n``: when an override also reads outside state, each
-        change to that state must call :meth:`_invalidate_rate`.
+        cached per ``n`` until the next :meth:`set_rate`, so an override
+        reads only ``n`` and :attr:`live_rate`.
         """
-        return self.rate
+        return self.live_rate
 
     def _current_stream_rate(self) -> float:
         n = len(self._active)
-        if n == self._rate_n:
-            return self._stream_rate
-        if n == 0:
-            return self.rate
-        rate = self._aggregate_rate(n) / n
-        if self.per_stream_rate is not None:
-            rate = min(rate, self.per_stream_rate)
-        self._rate_n = n
-        self._stream_rate = rate
-        return rate
-
-    def _invalidate_rate(self) -> None:
-        """Forget the cached stream rate: ``_aggregate_rate`` changed.
-
-        Call it between :meth:`_advance`, which drains at the old rate,
-        and :meth:`_reschedule`, which prices the rest at the new one.
-        """
-        self._rate_n = -1
+        if n != self._rate_n:
+            self._rate_n = n
+            self._stream_rate = self._aggregate_rate(n) / n
+        return self._stream_rate
 
     def _advance(self) -> None:
         """Drain progress made since ``_last_update`` from every transfer."""
@@ -326,10 +315,7 @@ class SharedBandwidth:
             return
         tr = self._fifo_queue.popleft()
         self._fifo_busy = True
-        stream_rate = self.rate
-        if self.per_stream_rate is not None:
-            stream_rate = min(stream_rate, self.per_stream_rate)
-        dt = tr.nbytes / stream_rate
+        dt = tr.nbytes / self.rate
         self.busy_time += dt
         self.sim.schedule_after(dt, self._fifo_done, tr)
 

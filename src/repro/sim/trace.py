@@ -7,36 +7,13 @@ grow ad-hoc globals and runs stay comparable.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List, Optional
 
 from repro.obs import names as metric_names
 from repro.obs.tracer import META_TRACK, thread_track
 from repro.sim.engine import Simulator
 
-__all__ = ["StatsCollector", "PhaseTimer", "summarize"]
-
-
-def summarize(values: Iterable[float]) -> dict:
-    """Return min/max/mean/median/stdev of ``values`` (empty-safe)."""
-    data = sorted(values)
-    n = len(data)
-    if n == 0:
-        return {"n": 0, "min": 0.0, "max": 0.0, "mean": 0.0, "median": 0.0, "stdev": 0.0}
-    mean = sum(data) / n
-    if n % 2:
-        median = data[n // 2]
-    else:
-        median = 0.5 * (data[n // 2 - 1] + data[n // 2])
-    var = sum((x - mean) ** 2 for x in data) / n
-    return {
-        "n": n,
-        "min": data[0],
-        "max": data[-1],
-        "mean": mean,
-        "median": median,
-        "stdev": math.sqrt(var),
-    }
+__all__ = ["StatsCollector", "PhaseTimer"]
 
 
 class StatsCollector:
@@ -74,12 +51,6 @@ class StatsCollector:
 
     def get_sum(self, name: str) -> float:
         return self.accumulators.get(name, 0.0)
-
-    def get_series(self, name: str) -> List[float]:
-        return self.series.get(name, [])
-
-    def summary(self, name: str) -> dict:
-        return summarize(self.series.get(name, []))
 
     # -- timers ---------------------------------------------------------
 
@@ -163,22 +134,6 @@ class StatsCollector:
         for tk in sorted(self.timers, key=repr):
             lines.append(f"timer {tk!r} {self.timers[tk]!r}")
         return "\n".join(lines)
-
-    def merge(self, other: "StatsCollector") -> None:
-        leaked = other.open_timers()
-        if leaked:
-            raise ValueError(
-                "cannot merge a collector with in-flight timers (their "
-                f"elapsed time would be lost): {leaked!r}"
-            )
-        for k, v in other.counters.items():
-            self.count(k, v)
-        for k, v in other.accumulators.items():
-            self.add(k, v)
-        for k, vs in other.series.items():
-            self.series.setdefault(k, []).extend(vs)
-        for tk, v in other.timers.items():
-            self.timers[tk] = self.timers.get(tk, 0.0) + v
 
 
 class PhaseTimer:

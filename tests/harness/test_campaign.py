@@ -19,7 +19,9 @@ from repro.harness.executor import (
 )
 from repro.harness.queue import QueueExecutor
 from repro.harness.reporting import ExperimentResult
-from repro.harness.runner import EXPERIMENTS, Experiment, get_experiment
+from repro.harness.runner import (
+    EXPERIMENTS, Experiment, get_experiment, run_experiment,
+)
 from repro.harness.spec import RunSpec
 
 
@@ -115,13 +117,13 @@ class TestCampaign:
         warm = Campaign(exp, cache=cache).run()
         assert (warm.points, warm.executed, warm.cache_hits) == (3, 0, 3)
         # the artifact itself is identical; only the counters move
-        cold_d, warm_d = cold.result.to_dict(), warm.result.to_dict()
-        assert cold_d.pop("campaign") == {"points": 3, "executed": 3,
-                                          "cache_hits": 0}
-        assert warm_d.pop("campaign") == {"points": 3, "executed": 0,
-                                          "cache_hits": 3}
-        assert cold_d == warm_d
+        assert cold.result.campaign == {"points": 3, "executed": 3,
+                                        "cache_hits": 0}
+        assert warm.result.campaign == {"points": 3, "executed": 0,
+                                        "cache_hits": 3}
         assert "3 cache hit(s)" in warm.result.render()
+        cold.result.campaign = warm.result.campaign = {}
+        assert cold.result.render() == warm.result.render()
 
     def test_traced_run_bypasses_cache_reads_but_still_writes(self, tmp_path):
         exp = _toy_experiment()
@@ -137,24 +139,25 @@ class TestCampaign:
     def test_parallel_campaign_same_result(self):
         inline = Campaign(_toy_experiment()).run()
         fanned = Campaign(_toy_experiment(), executor=make_executor(3)).run()
-        assert fanned.result.to_dict() == inline.result.to_dict()
+        assert fanned.result.render() == inline.result.render()
 
 
 class TestExperimentCall:
-    def test_faults_rejected_without_opt_in(self):
-        # satellite fix: __call__ must reject faults on fault-free
-        # experiments instead of silently dropping the plan
-        exp = _toy_experiment(accepts_faults=False)
+    def test_faults_rejected_without_opt_in(self, monkeypatch):
+        # run_experiment must reject faults on fault-free experiments
+        # instead of silently dropping the plan
+        monkeypatch.setitem(EXPERIMENTS._cache, "t3_1",
+                            _toy_experiment(accepts_faults=False))
         with pytest.raises(ValueError, match="does not accept"):
-            exp(faults="loss:prob=0.5")
+            run_experiment("t3_1", faults="loss:prob=0.5")
 
     def test_real_paper_artifact_rejects_faults(self):
         with pytest.raises(ValueError, match="does not accept"):
-            get_experiment("t3_1")(faults="loss:prob=0.5")
+            run_experiment("t3_1", faults="loss:prob=0.5")
 
     def test_faults_accepted_when_opted_in(self):
         exp = _toy_experiment(accepts_faults=True)
-        result = exp(faults="loss:prob=0.01;seed=3")
+        result = Campaign(exp, faults="loss:prob=0.01;seed=3").run().result
         assert result.rows
 
 

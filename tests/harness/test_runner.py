@@ -28,9 +28,8 @@ class TestRegistry:
         assert a is b
 
     def test_bad_scale_rejected(self):
-        exp = get_experiment("t2_1")
         with pytest.raises(ValueError, match="scale"):
-            exp(scale="galactic")
+            run_experiment("t2_1", scale="galactic")
 
     def test_every_experiment_has_title(self):
         for eid in EXPERIMENTS.ids():

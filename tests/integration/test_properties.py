@@ -77,24 +77,23 @@ class _LinearScanPipe:
     remainders sorted; the sorted pipe must match it float for float.
     """
 
-    def __init__(self, sim, rate, per_stream_rate=None):
-        self.sim, self.rate, self.per_stream_rate = sim, rate, per_stream_rate
+    def __init__(self, sim, rate):
+        self.sim, self.rate, self.live_rate = sim, rate, rate
         self._active = []  # [remaining, nbytes, event], in arrival order
         self._last_update = sim.now
         self._timer_generation = 0
 
     def _aggregate_rate(self, n):
-        return self.rate
+        return self.live_rate
 
-    def _invalidate_rate(self):
-        pass  # no cache: the rate is recomputed on every use
+    def set_rate(self, rate):
+        self._advance()
+        self.live_rate = rate  # no cache: the rate is recomputed on every use
+        self._reschedule()
 
     def _stream_rate(self):
         n = len(self._active)
-        rate = self._aggregate_rate(n) / n
-        if self.per_stream_rate is not None:
-            rate = min(rate, self.per_stream_rate)
-        return rate
+        return self._aggregate_rate(n) / n
 
     def transfer(self, nbytes):
         ev = self.sim.event()
@@ -138,13 +137,11 @@ class _LinearScanPipe:
 
 
 class _Occupancy:
-    """Occupancy-dependent rate (like ``SmtCore``/``_NicPipe``) with a
-    re-ratable ``factor`` (like a degraded NIC)."""
-
-    factor = 1.0
+    """Occupancy-dependent rate (like ``SmtCore``) scaling the set rate
+    (which a re-rate changes, as the fabric does to a NIC)."""
 
     def _aggregate_rate(self, n):
-        return self.rate * self.factor * (1.0 + 0.25 * min(n - 1, 3)) / (
+        return self.live_rate * (1.0 + 0.25 * min(n - 1, 3)) / (
             1.0 + 0.1 * (n > 4))
 
 
@@ -161,10 +158,10 @@ class _TimerCounting(Simulator):
         super().__init__()
         self.timer_pushes = 0
 
-    def schedule_at(self, time, fn, *args, priority=0):
+    def schedule_at(self, time, fn, *args):
         if getattr(fn, "__name__", "") == "_on_timer":
             self.timer_pushes += 1
-        super().schedule_at(time, fn, *args, priority=priority)
+        super().schedule_at(time, fn, *args)
 
 
 _sizes = st.one_of(
@@ -185,13 +182,11 @@ class TestSortedMatchesLinearScan:
             max_size=4,
         ),
         rate=st.floats(min_value=1e3, max_value=1e9),
-        per_stream_rate=st.one_of(
-            st.none(), st.floats(min_value=1e2, max_value=1e9)),
         occupancy=st.booleans(),
     )
     @settings(max_examples=200, deadline=None)
     def test_completions_match_reference(
-        self, arrivals, rerates, rate, per_stream_rate, occupancy
+        self, arrivals, rerates, rate, occupancy
     ):
         """Same completion times (float ``==``), same completion order and
         same timer pushes as the linear scan; ``_rem`` stays sorted."""
@@ -202,7 +197,7 @@ class TestSortedMatchesLinearScan:
                 cls = _OccupancySorted if occupancy else SharedBandwidth
             else:
                 cls = _OccupancyReference if occupancy else _LinearScanPipe
-            pipe = cls(sim, rate, per_stream_rate=per_stream_rate)
+            pipe = cls(sim, rate)
             done = []
 
             def arrive(i, start, nbytes):
@@ -212,10 +207,7 @@ class TestSortedMatchesLinearScan:
 
             def rerate(start, factor):
                 yield sim.delay(start)
-                pipe._advance()  # what Fabric.reprice_node does
-                pipe.factor = factor
-                pipe._invalidate_rate()
-                pipe._reschedule()
+                pipe.set_rate(rate * factor)  # what Fabric._reprice does
 
             for i, (start, nbytes) in enumerate(arrivals):
                 sim.spawn(arrive(i, start, nbytes))
@@ -310,12 +302,7 @@ class TestCollectiveProperties:
 def _uncached_stream_rate(pipe):
     """``SharedBandwidth._current_stream_rate`` recomputed on every call."""
     n = len(pipe._active)
-    if n == 0:
-        return pipe.rate
-    rate = pipe._aggregate_rate(n) / n
-    if pipe.per_stream_rate is not None:
-        rate = min(rate, pipe.per_stream_rate)
-    return rate
+    return pipe._aggregate_rate(n) / n
 
 
 class TestNicRateCache:
@@ -337,8 +324,9 @@ class TestNicRateCache:
         self, messages, windows, shared
     ):
         """Under connection churn and degradation windows, every NIC
-        pipe's cached stream rate equals the uncached formula after each
-        event, and completions match a run without the cache."""
+        pipe's set rate equals the D2 formula over the fabric's state,
+        its cached stream rate equals the uncached one after each event,
+        and completions match a run without the cache."""
         plan = FaultPlan(degradations=tuple(
             LinkDegradation(node=node, start=start, end=start + length,
                             factor=factor)
@@ -375,7 +363,12 @@ class TestNicRateCache:
                     if sim.now not in edges:
                         assert fab.degrade_factor(node) == \
                             inj.degrade_factor(node)
+                    active = fab.active_connections_on_node(node)
+                    rate = (fab.params.nic_bw
+                            * fab.params.nic_efficiency(active)
+                            * fab.degrade_factor(node))
                     for pipe in (fab.nic_tx[node], fab.nic_rx[node]):
+                        assert pipe.live_rate == rate
                         if pipe._rate_n == len(pipe._active):
                             assert pipe._stream_rate == \
                                 _uncached_stream_rate(pipe)

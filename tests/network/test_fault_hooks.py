@@ -209,3 +209,48 @@ class TestDegradationRepricing:
         elapsed = self._timed_transmit(sim, fab, nbytes=1 * GB)
         assert elapsed == pytest.approx(0.6, rel=1e-12)
         assert fab.degrade_factor(0) == 1.0
+
+
+class TestFifoNicPipes:
+    """D4 ablation: FIFO NIC pipes serve at the nominal ``nic_bw``.
+
+    The D2 connection-count penalty and degradation windows set only the
+    processor-sharing rate, so neither moves a FIFO completion.
+    """
+
+    def test_fifo_ignores_penalty_and_degradation(self):
+        sim = Simulator()
+        plan = FaultPlan(degradations=(
+            LinkDegradation(node=0, start=0.2, end=0.7, factor=0.25),
+        ))
+        # qp_knee=1: the second and third active connection on node 0
+        # each cut the processor-sharing efficiency.
+        fab = make_fabric(sim, fifo_links=True, qp_knee=1, qp_penalty=0.5,
+                          connection_bw=1000 * GB)
+        for i in range(3):
+            fab.register_endpoint(i, 0)
+            fab.register_endpoint(10 + i, 1)
+        inj = FaultInjector(sim, plan, stats=fab.stats)
+        inj.attach(fab)
+        ends = {}
+        peak = []
+
+        def sender(i):
+            yield sim.delay(0.1 * i)
+            yield from fab.transmit(i, 10 + i, 1 * GB)
+            ends[i] = sim.now
+
+        def watch():
+            yield sim.delay(0.25)
+            peak.append(fab.active_connections_on_node(0))
+
+        for i in range(3):
+            sim.spawn(sender(i))
+        sim.spawn(watch())
+        sim.run()
+        sim.raise_failures()
+        assert peak == [3]
+        # Back to back at 2 GB/s after the 1 us wire latency: 0.5 s each.
+        assert ends == {0: 0.500001, 1: 1.0000010000000001,
+                        2: 1.5000010000000001}
+        assert fab.degrade_factor(0) == 1.0

@@ -32,13 +32,13 @@ class TestScheduling:
         assert order == ["a", "b", "c"]
         assert sim.now == 3.0
 
-    def test_ties_broken_by_priority_then_fifo(self, sim):
+    def test_ties_run_in_schedule_order(self, sim):
         order = []
         sim.schedule_at(1.0, order.append, "first")
-        sim.schedule_at(1.0, order.append, "second")
-        sim.schedule_at(1.0, order.append, "urgent", priority=-1)
+        sim.schedule_after(1.0, order.append, "second")
+        sim.schedule_at(1.0, order.append, "third")
         sim.run()
-        assert order == ["urgent", "first", "second"]
+        assert order == ["first", "second", "third"]
 
     def test_schedule_in_past_rejected(self, sim):
         sim.schedule_at(5.0, lambda: sim.schedule_at(1.0, lambda: None))

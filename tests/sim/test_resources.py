@@ -179,17 +179,6 @@ class TestSharedBandwidth:
         assert ends["b"] == pytest.approx(10.0)
         assert ends["a"] == pytest.approx(12.5)
 
-    def test_per_stream_cap(self, sim):
-        pipe = SharedBandwidth(sim, rate=100.0, per_stream_rate=25.0)
-
-        def proc(sim, pipe):
-            yield pipe.transfer(100.0)
-            return sim.now
-
-        p = sim.spawn(proc(sim, pipe))
-        sim.run()
-        assert p.result == pytest.approx(4.0)  # capped at 25 B/s
-
     def test_zero_byte_transfer_completes(self, sim):
         pipe = SharedBandwidth(sim, rate=100.0)
 
@@ -237,8 +226,24 @@ class TestSharedBandwidth:
         assert pipe.busy_time == pytest.approx(4.0)
 
     def test_time_for_analytic(self, sim):
-        pipe = SharedBandwidth(sim, rate=100.0, per_stream_rate=40.0)
-        assert pipe.time_for(80.0) == pytest.approx(2.0)
+        pipe = SharedBandwidth(sim, rate=100.0)
+        assert pipe.time_for(80.0) == pytest.approx(0.8)
+
+    def test_set_rate_reprices_in_flight(self, sim):
+        # 1000 B at 100 B/s; at t=5 the rate halves with 500 B left.
+        pipe = SharedBandwidth(sim, rate=100.0)
+        ev = pipe.transfer(1000.0)
+        sim.schedule_at(5.0, pipe.set_rate, 50.0)
+        sim.run()
+        assert ev.value == 1000.0 and sim.now == pytest.approx(15.0)
+        assert pipe.live_rate == 50.0 and pipe.time_for(100.0) == 1.0
+
+    def test_fifo_serves_at_nominal_rate(self, sim):
+        pipe = SharedBandwidth(sim, rate=100.0, fifo=True)
+        pipe.transfer(1000.0)
+        sim.schedule_at(5.0, pipe.set_rate, 50.0)
+        sim.run()
+        assert sim.now == pytest.approx(10.0)
 
     def test_many_staggered_transfers_conserve_bytes(self, sim):
         """Total bytes delivered never exceeds rate * elapsed (work conservation)."""

@@ -3,28 +3,11 @@
 import pytest
 
 from repro.sim import Simulator, StatsCollector
-from repro.sim.trace import summarize
 
 
 @pytest.fixture
 def sim():
     return Simulator()
-
-
-class TestSummarize:
-    def test_empty(self):
-        s = summarize([])
-        assert s["n"] == 0 and s["mean"] == 0.0
-
-    def test_basic_stats(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s["n"] == 4
-        assert s["min"] == 1.0 and s["max"] == 4.0
-        assert s["mean"] == pytest.approx(2.5)
-        assert s["median"] == pytest.approx(2.5)
-
-    def test_odd_median(self):
-        assert summarize([3.0, 1.0, 2.0])["median"] == 2.0
 
 
 class TestCounters:
@@ -45,8 +28,7 @@ class TestCounters:
         st = StatsCollector()
         st.record("lat", 1.0)
         st.record("lat", 3.0)
-        assert st.get_series("lat") == [1.0, 3.0]
-        assert st.summary("lat")["mean"] == pytest.approx(2.0)
+        assert st.series == {"lat": [1.0, 3.0]}
 
 
 class TestTimers:
@@ -107,21 +89,3 @@ class TestTimers:
         st = StatsCollector()
         with pytest.raises(ValueError, match="Simulator"):
             st.timer_enter("x")
-
-
-class TestMerge:
-    def test_merge_combines_everything(self, sim):
-        a = StatsCollector(sim)
-        b = StatsCollector(sim)
-        a.count("c", 1)
-        b.count("c", 2)
-        a.add("s", 1.0)
-        b.add("s", 2.0)
-        a.record("r", 1.0)
-        b.record("r", 2.0)
-        b.timers[("t", 0)] = 5.0
-        a.merge(b)
-        assert a.get_count("c") == 3
-        assert a.get_sum("s") == pytest.approx(3.0)
-        assert a.get_series("r") == [1.0, 2.0]
-        assert a.timer_total("t", key=0) == pytest.approx(5.0)
