@@ -27,7 +27,7 @@ from pathlib import Path
 
 from repro.errors import FaultError
 from repro.harness.cache import DEFAULT_CACHE_DIR
-from repro.harness.runner import EXPERIMENTS, run_experiment
+from repro.harness.runner import EXPERIMENTS, SCALES, run_experiment
 
 
 def main(argv=None) -> int:
@@ -40,7 +40,7 @@ def main(argv=None) -> int:
                         help="experiment ids (e.g. t3_1 f4_5)")
     parser.add_argument("--all", action="store_true", help="run every experiment")
     parser.add_argument("--list", action="store_true", help="list experiment ids")
-    parser.add_argument("--scale", choices=("quick", "paper"), default="quick")
+    parser.add_argument("--scale", choices=SCALES, default="quick")
     parser.add_argument("--faults", metavar="SPEC",
                         help="fault-plan spec for experiments that accept one "
                              "(e.g. 'crash:node=1,at=5e-5;loss:prob=0.01')")

@@ -112,7 +112,7 @@ class SmtCore(SharedBandwidth):
 
     def _aggregate_rate(self, n: int) -> float:
         """Reads only ``n``: the SMT constants are fixed and the set rate
-        stays 1.0, so the pipe's per-``n`` cache holds."""
+        stays 1.0, so the pipe may read it only when ``n`` changes."""
         if n <= 1:
             return 1.0
         return 1.0 + (self.smt_factor - 1.0) * min(n - 1, self.smt_ways - 1)

@@ -161,9 +161,6 @@ class Fabric:
         except KeyError:
             raise NetworkError(f"unknown endpoint {endpoint_id}") from None
 
-    def connections_on_node(self, node_index: int) -> int:
-        return sum(1 for (n, _k) in self._connections if n == node_index)
-
     def active_connections_on_node(self, node_index: int) -> int:
         return self._active_conns[node_index]
 
@@ -322,11 +319,3 @@ class Fabric:
             tracer.end(span_id)
             tracer.counter(link_track(pipe.name), "inflight",
                            pipe.active_transfers)
-
-    def analytic_message_time(self, src_id: int, dst_id: int, nbytes: float) -> float:
-        """Uncontended transmit time (tests and back-of-envelope checks)."""
-        src = self.endpoint(src_id)
-        dst = self.endpoint(dst_id)
-        if src.node_index == dst.node_index:
-            return self.params.loopback_time(nbytes)
-        return self.params.message_time(nbytes)

@@ -146,8 +146,8 @@ MPI_RECVS = "mpi.recvs"
 # run tracks; Tracer.finalize emits all four as counter samples, so trace
 # analytics can track the engine's work run over run.
 
-ENGINE_EVENTS_POPPED = "engine.events_popped"  #: heap events executed
-ENGINE_HEAP_PEAK = "engine.heap_peak"  #: peak pending-event heap size
+ENGINE_EVENTS_POPPED = "engine.events_popped"  #: queued events executed
+ENGINE_HEAP_PEAK = "engine.heap_peak"  #: peak pending events, heap and FIFO
 ENGINE_CONTEXT_SWITCHES = "engine.context_switches"  #: generator resumes
 ENGINE_COSTED_CYCLES = "engine.costed_cycles"  #: pushes at a future instant
 

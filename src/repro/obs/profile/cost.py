@@ -100,7 +100,7 @@ class CostProfiler:
         the network attributes to the network, one created directly by
         app code to the app.  Falls back to the callback's own layer when
         the walk meets only plumbing before the engine loop or its bound —
-        e.g. engine-internal wakeups, whose heap entries hold bound
+        e.g. engine-internal wakeups, whose queued entries hold bound
         methods such as ``Process._step``; a C callable has no code and
         owns nothing.
         """

@@ -1,30 +1,37 @@
 """Core event loop and process machinery.
 
-The engine schedules callbacks on a binary heap keyed by
-``(time, sequence)``.  Simulated *processes* are plain Python
-generators that ``yield`` :class:`Awaitable` objects — delays, one-shot
-events, other processes, or ``AllOf``/``AnyOf`` combinators — and are
-resumed with the awaitable's value once it completes.  Failures propagate
-by throwing into the generator, so ordinary ``try/except`` works inside
-simulated code.
+The engine keeps pending callbacks in two tiers: a binary heap of the
+events at a *future* instant, keyed by ``(time, sequence)``, and a FIFO
+of the events due at the current instant.  Simulated *processes* are
+plain Python generators that ``yield`` :class:`Awaitable` objects —
+delays, one-shot events, other processes, or ``AllOf``/``AnyOf``
+combinators — and are resumed with the awaitable's value once it
+completes.  Failures propagate by throwing into the generator, so
+ordinary ``try/except`` works inside simulated code.
 
 Design notes
 ------------
-* Time is a ``float`` in seconds.  The engine never compares times for
-  equality; ties are broken by a monotonically increasing sequence
-  number (first scheduled, first run), which keeps runs deterministic.
+* Time is a ``float`` in seconds.  Ties are broken by a monotonically
+  increasing sequence number (first scheduled, first run), which keeps
+  runs deterministic.  Dispatch is in ``(time, sequence)`` order, yet
+  only future events pay for the heap: when the FIFO runs dry the clock
+  moves to the heap top's time and every heap entry due then moves, in
+  sequence order, to the FIFO.  Each of them was pushed before the
+  clock reached that time, so its sequence number is below that of
+  anything pushed at it, and appending keeps the order exact.
 * ``yield from`` composes simulated subroutines with zero overhead in the
   engine; only top-level ``yield`` values reach the scheduler.
 * Cancellation is cooperative: ``Delay.cancel()`` and ``Event.cancel()``
-  mark the awaitable dead so a pending heap entry becomes a no-op.  This
+  mark the awaitable dead so a pending entry becomes a no-op.  This
   is what lets ``AnyOf`` race a timeout against an event without leaking
   callbacks.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
+from collections import deque
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.obs import names as _metric_names
@@ -49,7 +56,7 @@ class SimulationError(Exception):
 
 
 class StalledProcessError(SimulationError):
-    """The event heap drained while processes were still waiting.
+    """No event was pending while processes were still waiting.
 
     This is the quiescence/deadlock diagnostic: an injected fault (or a
     plain bug) orphaned a waiter, so the run ended early instead of
@@ -121,7 +128,9 @@ class Awaitable:
         self._done = True
         self.value = value
         self.exc = exc
-        callbacks, self._callbacks = self._callbacks, []
+        # A completed awaitable never takes another callback (add_callback
+        # runs it at once), so the list is dropped, not replaced.
+        callbacks, self._callbacks = self._callbacks, ()
         for fn in callbacks:
             fn(self)
 
@@ -153,7 +162,7 @@ class Event(Awaitable):
             raise SimulationError("event already completed")
         if self._cancelled:
             return self  # documented no-op: all waiters withdrew
-        self._complete(value=value)
+        self._complete(value)
         return self
 
     def fail(self, exc: BaseException) -> "Event":
@@ -161,7 +170,7 @@ class Event(Awaitable):
             raise SimulationError("event already completed")
         if self._cancelled:
             return self  # documented no-op: all waiters withdrew
-        self._complete(exc=exc)
+        self._complete(None, exc)
         return self
 
 
@@ -173,12 +182,9 @@ class Delay(Awaitable):
     def __init__(self, sim: "Simulator", dt: float):
         if dt < 0:
             raise ValueError(f"negative delay: {dt}")
-        super().__init__(sim)
+        Awaitable.__init__(self, sim)
         self.dt = dt
-        sim.schedule_after(dt, self._fire)
-
-    def _fire(self) -> None:
-        self._complete(value=self.dt)
+        sim.schedule_at(sim.now + dt, self._complete, dt)
 
 
 class Process(Awaitable):
@@ -192,7 +198,7 @@ class Process(Awaitable):
     __slots__ = ("gen", "name", "_waiting_on")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = ""):
-        super().__init__(sim)
+        Awaitable.__init__(self, sim)
         if not hasattr(gen, "send"):
             raise TypeError(
                 f"sim.spawn() needs a generator; got {type(gen).__name__}. "
@@ -201,8 +207,8 @@ class Process(Awaitable):
         self.gen = gen
         self.name = name or getattr(gen, "__name__", "process")
         self._waiting_on: Optional[Awaitable] = None
-        sim._register_process(self)
-        sim.schedule_after(0.0, self._step, None, None)
+        sim._live[self] = None
+        sim.schedule_at(sim.now, self._step, None, None)
 
     @property
     def result(self) -> Any:
@@ -217,42 +223,44 @@ class Process(Awaitable):
         if self._done or self._cancelled:
             return
         self._waiting_on = None
-        self.sim.context_switches += 1
-        if self.sim.profiler.enabled:
-            self.sim.profiler.context_switch(self)
+        sim = self.sim
+        sim.context_switches += 1
+        if sim.profiler.enabled:
+            sim.profiler.context_switch(self)
         try:
-            if throw_exc is not None:
-                target = self.gen.throw(throw_exc)
-            else:
+            if throw_exc is None:
                 target = self.gen.send(send_value)
+            else:
+                target = self.gen.throw(throw_exc)
         except StopIteration as stop:
-            self._complete(value=stop.value)
+            self._complete(stop.value)
             return
         except BaseException as exc:  # noqa: BLE001 - propagate to joiners
-            self.sim._record_failure(self, exc)
-            self._complete(exc=exc)
+            sim._record_failure(self, exc)
+            self._complete(None, exc)
             return
-        try:
-            self._wait_for(target)
-        except TypeError as exc:
-            self.gen.close()
-            self.sim._record_failure(self, exc)
-            self._complete(exc=exc)
+        if not isinstance(target, Awaitable):
+            if not isinstance(target, (int, float)):
+                self.gen.close()
+                exc = TypeError(
+                    f"process {self.name!r} yielded {target!r}; expected an "
+                    "Awaitable or a number of seconds"
+                )
+                sim._record_failure(self, exc)
+                self._complete(None, exc)
+                return
+            target = Delay(sim, float(target))
+        self._waiting_on = target
+        # ``target.add_callback(self._resume)``, inlined: every yield
+        # comes through here.
+        if target._done:
+            self._resume(target)
+        else:
+            target._callbacks.append(self._resume)
 
     def _complete(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
         self.sim._live.pop(self, None)
-        super()._complete(value, exc)
-
-    def _wait_for(self, target: Any) -> None:
-        if isinstance(target, (int, float)):
-            target = Delay(self.sim, float(target))
-        if not isinstance(target, Awaitable):
-            raise TypeError(
-                f"process {self.name!r} yielded {target!r}; expected an "
-                "Awaitable or a number of seconds"
-            )
-        self._waiting_on = target
-        target.add_callback(self._resume)
+        Awaitable._complete(self, value, exc)
 
     def _resume(self, awaited: Awaitable) -> None:
         if self._done or self._cancelled:
@@ -265,10 +273,11 @@ class Process(Awaitable):
             args: tuple = (None, exc)
         else:
             args = (awaited.value, None)
-        # An inlined ``schedule_after(0.0, ...)``: resumes are the
+        # An inlined ``schedule_at(sim.now, ...)``: resumes are the
         # commonest push.
         sim = self.sim
-        heapq.heappush(sim._heap, (sim.now, next(sim._seq), self._step, args))
+        next(sim._seq)
+        sim._ready.append((self._step, args))
         if sim.tracer.enabled or sim.profiler.enabled:
             sim._tally_push(False, self._step)
 
@@ -294,24 +303,25 @@ class AllOf(Awaitable):
     __slots__ = ("children", "_pending")
 
     def __init__(self, sim: "Simulator", children: Iterable[Awaitable]):
-        super().__init__(sim)
+        Awaitable.__init__(self, sim)
         self.children = list(children)
         self._pending = len(self.children)
         if self._pending == 0:
             sim.schedule_after(0.0, self._complete, [])
             return
+        child_done = self._child_done
         for child in self.children:
-            child.add_callback(self._child_done)
+            child.add_callback(child_done)
 
     def _child_done(self, child: Awaitable) -> None:
         if self._done or self._cancelled:
             return
         if child.exc is not None:
-            self._complete(exc=child.exc)
+            self._complete(None, child.exc)
             return
         self._pending -= 1
         if self._pending == 0:
-            self._complete(value=[c.value for c in self.children])
+            self._complete([c.value for c in self.children])
 
 
 class AnyOf(Awaitable):
@@ -326,7 +336,7 @@ class AnyOf(Awaitable):
     __slots__ = ("children",)
 
     def __init__(self, sim: "Simulator", children: Iterable[Awaitable]):
-        super().__init__(sim)
+        Awaitable.__init__(self, sim)
         self.children = list(children)
         if not self.children:
             raise ValueError("AnyOf needs at least one child")
@@ -351,11 +361,14 @@ class _Off:
     Every hook site guards with ``if sim.tracer.enabled:`` (likewise
     ``sanitizer`` and ``profiler``), so an uninstrumented run pays one
     attribute load per site.  An unguarded hook call raises
-    ``AttributeError``.
+    ``AttributeError``.  ``enabled`` is a slot, not a class attribute:
+    CPython specializes a slot load, and every push reads it twice.
     """
 
-    __slots__ = ()
-    enabled = False
+    __slots__ = ("enabled",)
+
+    def __init__(self) -> None:
+        self.enabled = False
 
 
 #: The one off-sink every :class:`Simulator` starts with for its
@@ -365,11 +378,15 @@ OFF = _Off()
 
 
 class Simulator:
-    """The event loop: a clock plus a heap of pending callbacks."""
+    """The event loop: a clock, a heap of future callbacks and a FIFO of
+    the callbacks due now."""
 
     def __init__(self) -> None:
         self.now: float = 0.0
+        #: Callbacks at a future instant, as ``(time, seq, fn, args)``.
         self._heap: list[tuple[float, int, Callable, tuple]] = []
+        #: Callbacks due at ``now``, in sequence order, as ``(fn, args)``.
+        self._ready: deque[tuple[Callable, tuple]] = deque()
         self._seq = itertools.count()
         self._running = False
         self.failures: list[tuple[Process, BaseException]] = []
@@ -386,7 +403,8 @@ class Simulator:
         self.tracer = self.sanitizer = self.profiler = OFF
         #: Engine self-measurement, counted on every run (see
         #: :meth:`engine_counts`): generator steps, pushes at a future
-        #: instant, and the heap peak, which only a traced run tracks.
+        #: instant, and the peak of pending events (heap and FIFO), which
+        #: only a traced run tracks.
         self.context_switches = 0
         self.costed_cycles = 0
         self.heap_peak = 0
@@ -394,14 +412,16 @@ class Simulator:
     # -- scheduling --------------------------------------------------
 
     def schedule_at(self, time: float, fn: Callable, *args: Any) -> None:
-        costed = time > self.now
+        now = self.now
+        costed = time > now
         if costed:
             self.costed_cycles += 1
-        elif time < self.now:
-            raise SimulationError(
-                f"cannot schedule at {time} before now={self.now}"
-            )
-        heapq.heappush(self._heap, (time, next(self._seq), fn, args))
+            heappush(self._heap, (time, next(self._seq), fn, args))
+        elif time < now:
+            raise SimulationError(f"cannot schedule at {time} before now={now}")
+        else:
+            next(self._seq)
+            self._ready.append((fn, args))
         if self.tracer.enabled or self.profiler.enabled:
             self._tally_push(costed, fn)
 
@@ -409,14 +429,17 @@ class Simulator:
         self.schedule_at(self.now + dt, fn, *args)
 
     def _tally_push(self, costed: bool, fn: Callable) -> None:
-        """Instrumentation of one heap push (``costed``: at a future instant).
+        """Instrumentation of one push (``costed``: at a future instant).
 
         Every push site calls this only while a tracer or profiler is
-        armed.  A traced run tracks the heap peak here; the profiler
-        attributes the push to the layer that scheduled it.
+        armed.  A traced run tracks the peak of pending events, heap and
+        FIFO together, here; the profiler attributes the push to the
+        layer that scheduled it.
         """
-        if self.tracer.enabled and len(self._heap) > self.heap_peak:
-            self.heap_peak = len(self._heap)
+        if self.tracer.enabled:
+            pending = len(self._heap) + len(self._ready)
+            if pending > self.heap_peak:
+                self.heap_peak = pending
         if self.profiler.enabled:
             self.profiler.event_scheduled(fn, costed)
 
@@ -424,7 +447,7 @@ class Simulator:
         """The engine's self-measurement so far, keyed by metric name.
 
         Every push draws one ``_seq`` number, so the next number is the
-        push count, and a pushed event no longer on the heap was popped.
+        push count, and a pushed event no longer pending was popped.
         The number drawn here is handed back, so reading the counts is
         not a push.  Every event at a *future* instant is one costed
         cycle: delays, resource transfers, network latencies; same-instant
@@ -434,7 +457,7 @@ class Simulator:
         pushes = next(self._seq)
         self._seq = itertools.count(pushes)
         return {
-            _metric_names.ENGINE_EVENTS_POPPED: pushes - len(self._heap),
+            _metric_names.ENGINE_EVENTS_POPPED: pushes - self.pending,
             _metric_names.ENGINE_HEAP_PEAK: self.heap_peak,
             _metric_names.ENGINE_CONTEXT_SWITCHES: self.context_switches,
             _metric_names.ENGINE_COSTED_CYCLES: self.costed_cycles,
@@ -460,7 +483,7 @@ class Simulator:
     # -- execution ---------------------------------------------------
 
     def run(self, until: Optional[float] = None) -> float:
-        """Drain the event heap; return the final simulated time.
+        """Dispatch pending events; return the final simulated time.
 
         With ``until`` the clock stops advancing past that time (pending
         later events remain queued).
@@ -468,34 +491,49 @@ class Simulator:
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
         self._running = True
+        heap, ready = self._heap, self._ready
+        popleft, append = ready.popleft, ready.append
         try:
-            while self._heap:
-                time, _seq, fn, args = self._heap[0]
+            while True:
+                while ready:
+                    fn, args = popleft()
+                    fn(*args)
+                if not heap:
+                    if until is not None and until > self.now:
+                        self.now = until
+                    break
+                time = heap[0][0]
                 if until is not None and time > until:
                     self.now = until
                     break
-                heapq.heappop(self._heap)
                 self.now = time
+                # The first entry due runs at once; the rest wait in the
+                # FIFO, ahead of anything it pushes.
+                _time, _seq, fn, args = heappop(heap)
+                while heap and heap[0][0] == time:
+                    entry = heappop(heap)
+                    append((entry[2], entry[3]))
                 fn(*args)
-            else:
-                if until is not None and until > self.now:
-                    self.now = until
         finally:
             self._running = False
         return self.now
 
     def step(self) -> bool:
-        """Execute a single event; return False when the heap is empty."""
-        if not self._heap:
-            return False
-        time, _seq, fn, args = heapq.heappop(self._heap)
-        self.now = time
+        """Execute a single event; return False when none is pending."""
+        if not self._ready:
+            if not self._heap:
+                return False
+            self.now = time = self._heap[0][0]
+            while self._heap and self._heap[0][0] == time:
+                entry = heappop(self._heap)
+                self._ready.append((entry[2], entry[3]))
+        fn, args = self._ready.popleft()
         fn(*args)
         return True
 
     @property
     def pending(self) -> int:
-        return len(self._heap)
+        return len(self._heap) + len(self._ready)
 
     # -- diagnostics -------------------------------------------------
 
@@ -505,9 +543,6 @@ class Simulator:
             self.tracer.process_failed(process, exc)
         if self.failure_hook is not None:
             self.failure_hook(process, exc)
-
-    def _register_process(self, process: Process) -> None:
-        self._live[process] = None
 
     def forgive_failure(self, process: Process) -> None:
         """Drop recorded failures of ``process``: a supervisor handled them.
@@ -519,10 +554,10 @@ class Simulator:
         self.failures = [(p, e) for (p, e) in self.failures if p is not process]
 
     def stalled_processes(self) -> list:
-        """Processes still waiting after the event heap drained.
+        """Processes still waiting after the pending events ran out.
 
         Only meaningful once :attr:`pending` is zero: with nothing left
-        on the heap, a live process can never be resumed again, so every
+        to dispatch, a live process can never be resumed again, so every
         entry returned here is deadlocked (typically a waiter orphaned by
         an injected fault or by a kill).  With events still pending the
         result is merely "not finished yet", not a diagnosis.
@@ -535,13 +570,13 @@ class Simulator:
         Harness code calls this after :meth:`run` so programming errors in
         simulated code do not silently produce bogus timings.  With
         ``check_stalled=True`` it additionally raises
-        :class:`StalledProcessError` when the heap drained while spawned
+        :class:`StalledProcessError` when no event is pending while spawned
         processes were still waiting on never-completed events.
         """
         if self.failures:
             process, exc = self.failures[0]
             raise ProcessFailure(process, exc)
-        if check_stalled and not self._heap:
+        if check_stalled and not self.pending:
             stalled = self.stalled_processes()
             if stalled:
                 if self.tracer.enabled:

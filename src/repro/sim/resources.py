@@ -115,18 +115,22 @@ class Store:
         return False, None
 
 
-class _Transfer:
-    """One transfer; processor sharing keeps its remaining bytes in the
-    pipe's sorted ``_rem``."""
+class _Transfer(Event):
+    """One transfer, and the event that signals its completion; processor
+    sharing keeps its remaining bytes in the pipe's sorted ``_rem``."""
 
-    __slots__ = ("event", "nbytes", "arrival")
+    __slots__ = ("nbytes", "arrival", "tol")
 
-    def __init__(self, nbytes: float, event: Event, arrival: int):
+    def __init__(self, sim: Simulator, nbytes: float, arrival: int):
+        Event.__init__(self, sim)
         self.nbytes = float(nbytes)
-        self.event = event
         #: Per-pipe arrival number: transfers that finish on one timer
         #: complete in arrival order.
         self.arrival = arrival
+        #: Remaining bytes at or below this count as finished: the
+        #: relative term guards against float drift on large transfers.
+        tol = 1e-12 * self.nbytes
+        self.tol = tol if tol > _EPSILON_BYTES else _EPSILON_BYTES
 
 
 _arrival = operator.attrgetter("arrival")
@@ -176,9 +180,8 @@ class SharedBandwidth:
         self._tol_cap = _EPSILON_BYTES
         self._last_update = sim.now
         self._timer_generation = 0
-        #: The per-stream rate for ``_rate_n`` in-flight transfers; -1
-        #: marks it stale (see :meth:`set_rate`).
-        self._rate_n = -1
+        #: ``_aggregate_rate(n) / n`` for the ``n`` in-flight transfers,
+        #: recomputed whenever ``n`` or the rate changes (0.0 when idle).
         self._stream_rate = 0.0
         # FIFO mode state.
         self._fifo_queue: Deque[_Transfer] = collections.deque()
@@ -198,13 +201,13 @@ class SharedBandwidth:
         """Start moving ``nbytes`` through the pipe; returns completion event."""
         if nbytes < 0:
             raise ValueError(f"negative transfer size: {nbytes}")
-        ev = Event(self.sim)
         self.total_transfers += 1
         self.total_bytes += nbytes
         if nbytes == 0:
+            ev = Event(self.sim)
             self.sim.schedule_after(0.0, ev.succeed, None)
             return ev
-        tr = _Transfer(nbytes, ev, self.total_transfers)
+        tr = _Transfer(self.sim, nbytes, self.total_transfers)
         if self.fifo:
             self._fifo_queue.append(tr)
             self._fifo_pump()
@@ -213,10 +216,12 @@ class SharedBandwidth:
             i = bisect_right(self._rem, tr.nbytes)
             self._rem.insert(i, tr.nbytes)
             self._active.insert(i, tr)
-            if 1e-12 * tr.nbytes > self._tol_cap:
-                self._tol_cap = 1e-12 * tr.nbytes
+            if tr.tol > self._tol_cap:
+                self._tol_cap = tr.tol
+            n = len(self._active)
+            self._stream_rate = self._aggregate_rate(n) / n
             self._reschedule()
-        return ev
+        return tr
 
     def time_for(self, nbytes: float) -> float:
         """Uncontended service time for ``nbytes`` (for analytic checks)."""
@@ -229,8 +234,11 @@ class SharedBandwidth:
         remains of the in-flight transfers is priced at the new one.
         """
         self._advance()
-        self.live_rate = rate
-        self._rate_n = -1
+        if rate != self.live_rate:
+            self.live_rate = rate
+            n = len(self._active)
+            if n:
+                self._stream_rate = self._aggregate_rate(n) / n
         self._reschedule()
 
     # -- processor-sharing internals -----------------------------------
@@ -240,18 +248,11 @@ class SharedBandwidth:
 
         Subclasses override this for occupancy-dependent throughput, e.g.
         an SMT core whose two hardware threads together exceed the
-        single-thread rate but each run slower than alone.  The result is
-        cached per ``n`` until the next :meth:`set_rate`, so an override
-        reads only ``n`` and :attr:`live_rate`.
+        single-thread rate but each run slower than alone.  It is read
+        only when ``n`` or the set rate changes, so an override reads
+        only ``n`` and :attr:`live_rate`.
         """
         return self.live_rate
-
-    def _current_stream_rate(self) -> float:
-        n = len(self._active)
-        if n != self._rate_n:
-            self._rate_n = n
-            self._stream_rate = self._aggregate_rate(n) / n
-        return self._stream_rate
 
     def _advance(self) -> None:
         """Drain progress made since ``_last_update`` from every transfer."""
@@ -261,7 +262,7 @@ class SharedBandwidth:
         if dt <= 0 or not self._rem:
             return
         self.busy_time += dt
-        drained = self._current_stream_rate() * dt
+        drained = self._stream_rate * dt
         self._rem = [r - drained for r in self._rem]
 
     def _reschedule(self) -> None:
@@ -276,7 +277,10 @@ class SharedBandwidth:
         if not self._rem:
             return
         now = self.sim.now
-        target = now + max(self._rem[0], 0.0) / self._current_stream_rate()
+        rem = self._rem[0]
+        if rem < 0.0:
+            rem = 0.0
+        target = now + rem / self._stream_rate
         if target <= now:
             target = math.nextafter(now, math.inf)
         self.sim.schedule_at(target, self._on_timer, self._timer_generation)
@@ -285,27 +289,29 @@ class SharedBandwidth:
         if generation != self._timer_generation:
             return  # superseded by a newer arrival/completion
         self._advance()
-        # A transfer is finished within its own tolerance, whose relative
-        # term guards against float drift on large transfers; only the
-        # prefix within the largest tolerance can hold finished ones.
+        # A transfer is finished within its own tolerance; only the prefix
+        # within the largest tolerance can hold finished ones.
         rem, active = self._rem, self._active
         done = []
         i = bisect_right(rem, self._tol_cap)
         while i:
             i -= 1
             tr = active[i]
-            if rem[i] <= max(_EPSILON_BYTES, 1e-12 * tr.nbytes):
+            if rem[i] <= tr.tol:
                 # Removed before any waiter runs, so a synchronous
                 # callback that starts a transfer here sees only live ones.
                 del rem[i], active[i]
                 done.append(tr)
         if done:
-            if not rem:
+            n = len(active)
+            if n:
+                self._stream_rate = self._aggregate_rate(n) / n
+            else:
                 self._tol_cap = _EPSILON_BYTES
-            done.sort(key=_arrival)
+            if len(done) > 1:
+                done.sort(key=_arrival)
             for tr in done:
-                if not tr.event.cancelled:
-                    tr.event.succeed(tr.nbytes)
+                tr._complete(tr.nbytes)  # a no-op if cancelled
         self._reschedule()
 
     # -- FIFO-mode internals --------------------------------------------
@@ -321,6 +327,5 @@ class SharedBandwidth:
 
     def _fifo_done(self, tr: _Transfer) -> None:
         self._fifo_busy = False
-        if not tr.event.cancelled:
-            tr.event.succeed(tr.nbytes)
+        tr.succeed(tr.nbytes)  # a no-op if cancelled
         self._fifo_pump()

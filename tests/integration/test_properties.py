@@ -300,9 +300,15 @@ class TestCollectiveProperties:
 
 
 def _uncached_stream_rate(pipe):
-    """``SharedBandwidth._current_stream_rate`` recomputed on every call."""
+    """The per-stream rate recomputed from ``n`` and the set rate."""
     n = len(pipe._active)
     return pipe._aggregate_rate(n) / n
+
+
+#: Patched over ``SharedBandwidth._stream_rate``: every read recomputes
+#: the rate and every store is dropped.
+_RECOMPUTED_AT_EVERY_USE = property(_uncached_stream_rate,
+                                    lambda pipe, value: None)
 
 
 class TestNicRateCache:
@@ -325,8 +331,9 @@ class TestNicRateCache:
     ):
         """Under connection churn and degradation windows, every NIC
         pipe's set rate equals the D2 formula over the fabric's state,
-        its cached stream rate equals the uncached one after each event,
-        and completions match a run without the cache."""
+        after each event every busy pipe's stored stream rate equals
+        ``_aggregate_rate(n) / n``, and completions match a run that
+        recomputes the rate at every use."""
         plan = FaultPlan(degradations=tuple(
             LinkDegradation(node=node, start=start, end=start + length,
                             factor=factor)
@@ -369,15 +376,15 @@ class TestNicRateCache:
                             * fab.degrade_factor(node))
                     for pipe in (fab.nic_tx[node], fab.nic_rx[node]):
                         assert pipe.live_rate == rate
-                        if pipe._rate_n == len(pipe._active):
+                        if pipe._active:
                             assert pipe._stream_rate == \
                                 _uncached_stream_rate(pipe)
             sim.raise_failures()
             return done
 
         done = simulate(check=True)
-        with mock.patch.object(SharedBandwidth, "_current_stream_rate",
-                               _uncached_stream_rate):
+        with mock.patch.object(SharedBandwidth, "_stream_rate",
+                               _RECOMPUTED_AT_EVERY_USE, create=True):
             reference = simulate(check=False)
         assert len(done) == len(messages)
         assert done == reference

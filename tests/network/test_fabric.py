@@ -61,14 +61,12 @@ class TestRegistration:
         a = fab.register_endpoint(0, 0)
         b = fab.register_endpoint(1, 0)
         assert a.connection is not b.connection
-        assert fab.connections_on_node(0) == 2
 
     def test_shared_connection_with_key(self, sim):
         fab = make_fabric(sim)
         a = fab.register_endpoint(0, 0, connection_key="proc0")
         b = fab.register_endpoint(1, 0, connection_key="proc0")
         assert a.connection is b.connection
-        assert fab.connections_on_node(0) == 1
 
     def test_connection_key_scoped_per_node(self, sim):
         fab = make_fabric(sim)
@@ -117,7 +115,7 @@ class TestPointToPoint:
 
         p = sim.spawn(proc(sim, fab))
         sim.run()
-        assert p.result == pytest.approx(fab.analytic_message_time(0, 1, n), rel=1e-3)
+        assert p.result == pytest.approx(fab.params.message_time(n), rel=1e-3)
 
     def test_negative_size_rejected(self, sim):
         fab = make_fabric(sim)
