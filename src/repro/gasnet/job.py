@@ -125,7 +125,12 @@ class SpmdJob:
         self.sim.raise_failures()
         unfinished = [p.name for p in procs if not p.done]
         if unfinished:
-            stalled = [p.name for p in self.sim.stalled_processes()]
+            # The one stall diagnostic: nothing is pending, so every live
+            # process is deadlocked.
+            processes = self.sim.stalled_processes()
+            if self.sim.tracer.enabled:
+                self.sim.tracer.quiescence(processes)
+            stalled = [p.name for p in processes]
             raise self.error(
                 f"deadlock: {self.rank_noun} never finished: {unfinished[:8]} "
                 f"({len(unfinished)} total); stalled processes: "

@@ -93,11 +93,3 @@ class NetworkParams:
             self.gap + nbytes / self.connection_bw,
             self.latency + nbytes / self.nic_bw,
         )
-
-    def loopback_time(self, nbytes: float) -> float:
-        """Uncontended time for one intra-node message via the network API
-        (the loopback leg also traverses the NIC pipes)."""
-        return max(
-            self.gap + nbytes / self.connection_bw,
-            self.loopback_latency + nbytes / min(self.loopback_bw, self.nic_bw),
-        )

@@ -224,6 +224,8 @@ class Tracer:
         )
 
     def quiescence(self, processes) -> None:
+        """A deadlocked job's stalled processes (``SpmdJob.run`` marks
+        this just before it raises its deadlock error)."""
         self.instant(
             META_TRACK, "quiescence", names.CAT_FAULT,
             args={"stalled": len(processes),

@@ -30,7 +30,6 @@ from repro.sim.engine import (
     ProcessFailure,
     SimulationError,
     Simulator,
-    StalledProcessError,
 )
 from repro.sim.resources import Resource, SharedBandwidth, Store
 from repro.sim.sync import Condition, SimBarrier
@@ -53,7 +52,6 @@ __all__ = [
     "SimulationError",
     "Simulator",
     "SplittableRNG",
-    "StalledProcessError",
     "StatsCollector",
     "Store",
     "splitmix64",

@@ -24,7 +24,11 @@ Design notes
 * Cancellation is cooperative: ``Delay.cancel()`` and ``Event.cancel()``
   mark the awaitable dead so a pending entry becomes a no-op.  This
   is what lets ``AnyOf`` race a timeout against an event without leaking
-  callbacks.
+  callbacks.  A process is never cancelled: a joiner that withdraws (a
+  lost ``AnyOf`` race, a killed joiner) stops listening and the process
+  runs on.  Only ``Process.kill()`` stops a process.
+* The clock never runs backwards: ``schedule_at`` a past time and
+  ``run(until)`` a past time both raise :class:`SimulationError`.
 """
 
 from __future__ import annotations
@@ -46,32 +50,12 @@ __all__ = [
     "Simulator",
     "SimulationError",
     "ProcessFailure",
-    "StalledProcessError",
     "OFF",
 ]
 
 
 class SimulationError(Exception):
     """Base class for errors raised by the simulation kernel."""
-
-
-class StalledProcessError(SimulationError):
-    """No event was pending while processes were still waiting.
-
-    This is the quiescence/deadlock diagnostic: an injected fault (or a
-    plain bug) orphaned a waiter, so the run ended early instead of
-    completing.  ``processes`` holds the stuck :class:`Process` objects.
-    """
-
-    def __init__(self, processes: list):
-        names = [p.name for p in processes]
-        shown = ", ".join(repr(n) for n in names[:8])
-        extra = f" (+{len(names) - 8} more)" if len(names) > 8 else ""
-        super().__init__(
-            f"simulation quiesced with {len(names)} stalled process(es): "
-            f"{shown}{extra}"
-        )
-        self.processes = processes
 
 
 class ProcessFailure(SimulationError):
@@ -160,17 +144,13 @@ class Event(Awaitable):
     def succeed(self, value: Any = None) -> "Event":
         if self._done:
             raise SimulationError("event already completed")
-        if self._cancelled:
-            return self  # documented no-op: all waiters withdrew
-        self._complete(value)
+        self._complete(value)  # a no-op once cancelled
         return self
 
     def fail(self, exc: BaseException) -> "Event":
         if self._done:
             raise SimulationError("event already completed")
-        if self._cancelled:
-            return self  # documented no-op: all waiters withdrew
-        self._complete(None, exc)
+        self._complete(None, exc)  # a no-op once cancelled
         return self
 
 
@@ -192,7 +172,8 @@ class Process(Awaitable):
 
     A process is itself awaitable: ``yield other_process`` joins it and
     evaluates to its return value.  If the joined process raised, a
-    :class:`ProcessFailure` is thrown into the joiner.
+    :class:`ProcessFailure` is thrown into the joiner.  It stops only by
+    returning, raising or :meth:`kill`; it is never cancelled.
     """
 
     __slots__ = ("gen", "name", "_waiting_on")
@@ -220,7 +201,7 @@ class Process(Awaitable):
         return self.value
 
     def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
-        if self._done or self._cancelled:
+        if self._done:
             return
         self._waiting_on = None
         sim = self.sim
@@ -259,11 +240,20 @@ class Process(Awaitable):
             target._callbacks.append(self._resume)
 
     def _complete(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
-        self.sim._live.pop(self, None)
-        Awaitable._complete(self, value, exc)
+        # ``Awaitable._complete`` less its cancelled test (a process is
+        # never cancelled), plus leaving the live registry.
+        if self._done:
+            return
+        del self.sim._live[self]
+        self._done = True
+        self.value = value
+        self.exc = exc
+        callbacks, self._callbacks = self._callbacks, ()
+        for fn in callbacks:
+            fn(self)
 
     def _resume(self, awaited: Awaitable) -> None:
-        if self._done or self._cancelled:
+        if self._done:
             return
         if awaited.exc is not None:
             if isinstance(awaited, Process):
@@ -280,6 +270,15 @@ class Process(Awaitable):
         sim._ready.append((self._step, args))
         if sim.tracer.enabled or sim.profiler.enabled:
             sim._tally_push(False, self._step)
+
+    def cancel(self) -> None:
+        """A no-op: withdrawing one observer does not stop a process.
+
+        A joiner that loses interest (a lost ``AnyOf`` race, a killed
+        joiner) only stops listening, and its stale callback returns at
+        once; other joiners still get the result.  :meth:`kill` stops
+        the process.
+        """
 
     def kill(self) -> None:
         """Terminate the process without running any more of its code."""
@@ -327,10 +326,9 @@ class AllOf(Awaitable):
 class AnyOf(Awaitable):
     """Completes when the *first* child completes; value is ``(index, value)``.
 
-    Losing *passive* children (delays, events) are **cancelled** so a
-    timeout race leaves no pending wakeup behind.  Losing **processes**
-    are left running — AnyOf withdraws its observation, it does not kill
-    them (use :meth:`Process.kill` for that).
+    Losing children are **cancelled** so a timeout race leaves no pending
+    wakeup behind.  Cancelling a losing **process** is a no-op: it runs
+    on (use :meth:`Process.kill` to stop it).
     """
 
     __slots__ = ("children",)
@@ -347,7 +345,7 @@ class AnyOf(Awaitable):
         if self._done or self._cancelled:
             return
         for other in self.children:
-            if other is not child and not isinstance(other, Process):
+            if other is not child:
                 other.cancel()
         if child.exc is not None:
             self._complete(exc=child.exc)
@@ -394,8 +392,6 @@ class Simulator:
         #: set); a process leaves on completion, so a finished one is
         #: freed as soon as nothing else holds it.
         self._live: dict[Process, None] = {}
-        #: Set to a callable to be notified of unhandled process failures.
-        self.failure_hook: Optional[Callable[[Process, BaseException], None]] = None
         #: Instrumentation sinks: the tracer (repro.obs), the sanitizer
         #: (repro.analyze) and the cost profiler (repro.obs.profile).  All
         #: start as the shared :data:`OFF`; ``repro.obs.session.arm`` sets
@@ -486,10 +482,12 @@ class Simulator:
         """Dispatch pending events; return the final simulated time.
 
         With ``until`` the clock stops advancing past that time (pending
-        later events remain queued).
+        later events remain queued); an ``until`` before ``now`` raises.
         """
         if self._running:
             raise SimulationError("simulator is already running (reentrant run)")
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until {until} before now={self.now}")
         self._running = True
         heap, ready = self._heap, self._ready
         popleft, append = ready.popleft, ready.append
@@ -541,8 +539,6 @@ class Simulator:
         self.failures.append((process, exc))
         if self.tracer.enabled:
             self.tracer.process_failed(process, exc)
-        if self.failure_hook is not None:
-            self.failure_hook(process, exc)
 
     def forgive_failure(self, process: Process) -> None:
         """Drop recorded failures of ``process``: a supervisor handled them.
@@ -560,25 +556,17 @@ class Simulator:
         to dispatch, a live process can never be resumed again, so every
         entry returned here is deadlocked (typically a waiter orphaned by
         an injected fault or by a kill).  With events still pending the
-        result is merely "not finished yet", not a diagnosis.
+        result is merely "not finished yet", not a diagnosis.  The job
+        layer's deadlock error (``SpmdJob.run``) names these.
         """
-        return [p for p in self._live if not p.cancelled]
+        return list(self._live)
 
-    def raise_failures(self, check_stalled: bool = False) -> None:
+    def raise_failures(self) -> None:
         """Re-raise the first unhandled process failure, if any.
 
         Harness code calls this after :meth:`run` so programming errors in
-        simulated code do not silently produce bogus timings.  With
-        ``check_stalled=True`` it additionally raises
-        :class:`StalledProcessError` when no event is pending while spawned
-        processes were still waiting on never-completed events.
+        simulated code do not silently produce bogus timings.
         """
         if self.failures:
             process, exc = self.failures[0]
             raise ProcessFailure(process, exc)
-        if check_stalled and not self.pending:
-            stalled = self.stalled_processes()
-            if stalled:
-                if self.tracer.enabled:
-                    self.tracer.quiescence(stalled)
-                raise StalledProcessError(stalled)

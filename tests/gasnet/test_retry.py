@@ -95,8 +95,10 @@ class TestReliableXfer:
         assert rt.stats.get_count("gasnet.retransmits") >= 1
         # corruption is detected at delivery, not via timeout
         assert rt.stats.get_count("gasnet.timeouts") == 0
-        # the failed attempt was supervised: nothing left to re-raise
-        sim.raise_failures(check_stalled=True)
+        # the failed attempt was supervised: nothing left to re-raise,
+        # and nothing is left waiting
+        sim.raise_failures()
+        assert sim.stalled_processes() == []
 
     def test_persistent_loss_exhausts_budget(self, sim):
         rt = build_runtime(sim)

@@ -28,13 +28,6 @@ class TestNetworkParams:
         n = 1 << 20
         assert p.message_time(n) == pytest.approx(0.1e-6 + n / 1e9)
 
-    def test_loopback_time(self):
-        p = NetworkParams(
-            gap=0.1e-6, connection_bw=2e9, loopback_latency=0.5e-6, loopback_bw=1e9
-        )
-        n = 1 << 20
-        assert p.loopback_time(n) == pytest.approx(0.5e-6 + n / 1e9)
-
 
 class TestConduits:
     def test_all_presets_constructible(self):

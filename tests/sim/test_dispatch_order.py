@@ -5,9 +5,9 @@ events due now in a FIFO.  :class:`_HeapOnly` is the engine without the
 FIFO: every push, same-instant ones included, goes on one heap keyed by
 ``(time, push order)``.  Hypothesis builds programs that mix same-instant
 and future schedules, callbacks that schedule from inside callbacks,
-processes waiting on delays, events and timeout races, cancellation, and
-``run(until)``/``step()`` driving; both engines must log the same
-dispatches at the same instants.
+processes waiting on delays, events, timeout races and other processes,
+cancellation, kills, and ``run(until)``/``step()`` driving; both engines
+must log the same dispatches at the same instants.
 """
 
 import itertools
@@ -51,6 +51,8 @@ class _HeapOnly(Simulator):
         heappush(self._heap, (time, next(self._order), fn, args))
 
     def run(self, until=None):
+        if until is not None and until < self.now:
+            raise SimulationError(f"cannot run until {until} before now={self.now}")
         while self._heap:
             time, _order, fn, args = self._heap[0]
             if until is not None and time > until:
@@ -80,12 +82,14 @@ _WAIT = st.one_of(
     st.tuples(st.just("delay"), _DT),
     st.tuples(st.just("event"), st.just(0.0)),
     st.tuples(st.just("race"), _DT),  # a delay against a fresh event
+    st.tuples(st.just("join"), st.integers(0, 7)),  # an earlier process
 )
 
 _ACTION = st.recursive(
     st.one_of(
         st.tuples(st.just("fire"), st.integers(0, 7)),
         st.tuples(st.just("cancel"), st.integers(0, 7)),
+        st.tuples(st.just("kill"), st.integers(0, 7)),
         st.tuples(st.just("spawn"), st.lists(_WAIT, min_size=1, max_size=4)),
     ),
     lambda inner: st.tuples(st.just("call"), _DT,
@@ -110,6 +114,8 @@ class _Script:
         self.log = []
         #: Every delay and event made so far: ``fire``/``cancel`` pick one.
         self.made = []
+        #: Every process spawned so far: ``kill``/``join`` pick one.
+        self.procs = []
         self._labels = itertools.count()
 
     def start(self, actions):
@@ -129,7 +135,12 @@ class _Script:
 
             sim.schedule_after(dt, callback)
         elif kind == "spawn":
-            sim.spawn(self._proc(label, action[1]))
+            proc = self._proc(label, action[1], self.procs[:])
+            self.procs.append(sim.spawn(proc))
+        elif kind == "kill":
+            if self.procs:
+                self.procs[action[1] % len(self.procs)].kill()
+                self.log.append((kind, label, sim.now))
         elif self.made:
             target = self.made[action[1] % len(self.made)]
             if kind == "cancel":
@@ -138,10 +149,14 @@ class _Script:
                 target.succeed(label)
             self.log.append((kind, label, sim.now))
 
-    def _proc(self, label, waits):
+    def _proc(self, label, waits, earlier):
+        """``earlier``: the processes spawned before this one."""
         sim = self.sim
         for i, (kind, dt) in enumerate(waits):
-            if kind == "delay":
+            if kind == "join":  # ``dt`` picks the process
+                awaitable = (earlier[dt % len(earlier)] if earlier
+                             else sim.delay(0.0))
+            elif kind == "delay":
                 awaitable = sim.delay(dt)
                 self.made.append(awaitable)
             else:

@@ -132,15 +132,3 @@ class TestFailureBookkeeping:
         sim.spawn(bad(sim, 1.0, "first"))
         sim.run()
         assert [str(e) for _p, e in sim.failures] == ["first", "second"]
-
-    def test_failure_hook_invoked(self, sim):
-        seen = []
-        sim.failure_hook = lambda proc, exc: seen.append(str(exc))
-
-        def bad(sim):
-            yield sim.delay(1.0)
-            raise ValueError("hooked")
-
-        sim.spawn(bad(sim))
-        sim.run()
-        assert seen == ["hooked"]

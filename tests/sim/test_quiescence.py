@@ -1,13 +1,19 @@
-"""Satellite tests: stalled-process detection, post-cancel Event rules,
-and barrier fail-stop recovery."""
+"""Stalled-process detection and the job's deadlock diagnostic, the
+process lifecycle rule (only a kill stops a process), post-cancel Event
+rules, and barrier fail-stop recovery."""
 
 import gc
 import weakref
 
 import pytest
 
-from repro.sim import Event, SimBarrier, Simulator, StalledProcessError
+from repro.errors import UpcError
+from repro.machine.presets import generic_smp
+from repro.obs import instrument
+from repro.obs.tracer import META_TRACK
+from repro.sim import Event, ProcessFailure, SimBarrier, Simulator
 from repro.sim.engine import SimulationError
+from repro.upc import UpcProgram
 
 
 @pytest.fixture
@@ -64,8 +70,15 @@ class TestEventCompletionAfterCancel:
         assert ev.cancelled and not ev.done
 
 
+def _program(threads):
+    preset = generic_smp(nodes=4, sockets=2, cores_per_socket=2, smt_per_core=1)
+    return UpcProgram(preset, threads=threads)
+
+
 class TestStalledProcesses:
-    """Quiescence/deadlock detection once the heap drains (S1)."""
+    """Quiescence/deadlock detection once the heap drains: the engine's
+    ``stalled_processes`` and the job's deadlock error, the one stall
+    diagnostic."""
 
     def test_finished_run_has_no_stalled(self, sim):
         def work():
@@ -73,7 +86,7 @@ class TestStalledProcesses:
         sim.spawn(work())
         sim.run()
         assert sim.stalled_processes() == []
-        sim.raise_failures(check_stalled=True)  # no-op
+        sim.raise_failures()  # no-op
 
     def test_orphaned_waiter_is_stalled(self, sim):
         never = Event(sim)
@@ -84,15 +97,14 @@ class TestStalledProcesses:
         assert not proc.done
         assert sim.stalled_processes() == [proc]
 
-    def test_raise_failures_reports_stall_when_asked(self, sim):
+    def test_raise_failures_tolerates_stall(self, sim):
         def waiter():
             yield Event(sim)
         proc = sim.spawn(waiter(), name="stuck-waiter")
         sim.run()
-        sim.raise_failures()  # default: stalls tolerated
-        with pytest.raises(StalledProcessError, match="stuck-waiter") as ei:
-            sim.raise_failures(check_stalled=True)
-        assert ei.value.processes == [proc]
+        sim.raise_failures()  # a stall is the job layer's to diagnose
+        assert sim.pending == 0
+        assert sim.stalled_processes() == [proc]
 
     def test_killed_process_is_not_stalled(self, sim):
         def waiter():
@@ -139,18 +151,6 @@ class TestStalledProcesses:
         finally:
             gc.enable()
 
-    def test_unhandled_failure_reported_before_stall(self, sim):
-        def boom():
-            yield sim.delay(0.0)
-            raise ValueError("bug")
-        def waiter():
-            yield Event(sim)
-        sim.spawn(boom())
-        sim.spawn(waiter())
-        sim.run()
-        with pytest.raises(Exception, match="bug"):
-            sim.raise_failures(check_stalled=True)
-
     def test_forgive_failure_clears_supervised_crash(self, sim):
         def boom():
             yield sim.delay(0.0)
@@ -160,19 +160,117 @@ class TestStalledProcesses:
         assert sim.failures
         sim.forgive_failure(proc)
         assert not sim.failures
-        sim.raise_failures(check_stalled=True)
+        sim.raise_failures()
 
-    def test_error_message_caps_listed_names(self, sim):
-        procs = []
-        for i in range(12):
-            def waiter():
-                yield Event(sim)
-            procs.append(sim.spawn(waiter(), name=f"w{i}"))
+    def test_job_error_names_stalled_and_marks_quiescence(self):
+        def main(upc):
+            if upc.MYTHREAD == 0:
+                yield from upc.barrier()  # thread 1 never arrives
+            else:
+                yield from upc.compute(1e-9)
+
+        with instrument("deadlock", trace=True) as sess:
+            with pytest.raises(UpcError, match="deadlock") as info:
+                _program(2).run(main)
+        message = str(info.value)
+        assert "threads never finished: ['upc0'] (1 total)" in message
+        assert "stalled processes: ['upc0'] (1 total)" in message
+        (tracer,) = sess.tracers
+        marks = [i for i in tracer.instants if i.name == "quiescence"]
+        assert len(marks) == 1
+        assert marks[0].track == META_TRACK
+        assert marks[0].args == {"stalled": 1, "names": ["upc0"]}
+
+    def test_unhandled_failure_reported_before_stall(self):
+        def main(upc):
+            yield from upc.compute(0.0)
+            if upc.MYTHREAD == 0:
+                raise ValueError("bug")
+            yield Event(upc.sim)  # waits forever
+
+        with pytest.raises(ProcessFailure, match="bug"):
+            _program(2).run(main)
+
+    def test_error_message_caps_listed_names(self):
+        def main(upc):
+            yield Event(upc.sim)  # every thread waits forever
+
+        with pytest.raises(UpcError) as info:
+            _program(14).run(main)
+        message = str(info.value)
+        ranks = [f"upc{r}" for r in range(14)]
+        assert f"threads never finished: {ranks[:8]} (14 total)" in message
+        assert f"stalled processes: {ranks[:12]} (14 total)" in message
+
+
+class TestKillNeverCancelsAProcess:
+    """Only ``kill()`` stops a process; a joiner withdrawing does not."""
+
+    @staticmethod
+    def _child(sim):
+        yield sim.delay(1.0)
+        yield sim.delay(1.0)
+        return "child"
+
+    def test_killing_a_joiner_leaves_the_child_running(self, sim):
+        child = sim.spawn(self._child(sim), name="child")
+
+        def parent():
+            yield child
+
+        joiner = sim.spawn(parent(), name="parent")
+        sim.schedule_at(0.5, joiner.kill)
+        assert sim.run() == 2.0
+        assert joiner.done and child.done
+        assert child.result == "child"
+        assert not child.cancelled
+        assert sim.stalled_processes() == []
+
+    def test_other_joiners_still_get_the_result(self, sim):
+        child = sim.spawn(self._child(sim), name="child")
+        got = []
+
+        def parent():
+            got.append((yield child))
+
+        doomed = sim.spawn(parent())
+        sim.spawn(parent())
+        sim.schedule_at(0.5, doomed.kill)
         sim.run()
-        err = StalledProcessError(sim.stalled_processes())
-        assert "12 stalled" in str(err)
-        assert "+4 more" in str(err)
+        assert got == ["child"]
 
+    def test_anyof_losing_to_a_child_leaves_it_running(self, sim):
+        child = sim.spawn(self._child(sim), name="child")
+        got = []
+
+        def racer():
+            got.append((yield sim.any_of([sim.delay(0.5), child])))
+
+        sim.spawn(racer())
+        assert sim.run() == 2.0
+        assert got == [(0, 0.5)]
+        assert child.result == "child"
+
+    def test_cancel_is_a_no_op(self, sim):
+        child = sim.spawn(self._child(sim), name="child")
+        child.cancel()
+        sim.run()
+        assert child.result == "child"
+        assert not child.cancelled
+
+
+class TestClockNeverRunsBackwards:
+    def test_run_until_a_past_time_raises(self, sim):
+        fired = []
+        sim.schedule_at(10.0, fired.append, 10.0)
+        sim.schedule_at(20.0, fired.append, 20.0)
+        assert sim.run(until=10.0) == 10.0
+        with pytest.raises(SimulationError, match="before now"):
+            sim.run(until=5.0)
+        assert sim.now == 10.0
+        assert sim.pending == 1
+        assert sim.run() == 20.0
+        assert fired == [10.0, 20.0]
 
 class TestBarrierFailStop:
     """drop_party: a crashed participant must not strand barrier waiters."""
