@@ -39,12 +39,12 @@ from repro.apps.ft.data import FtState
 from repro.apps.ft.kernel import evolve_factors, serial_ft
 from repro.machine.presets import PlatformPreset, lehman
 from repro.obs import names
-from repro.subthreads import Cilk, OpenMP, ThreadPool, ThreadSafety
+from repro.subthreads import CILK, OPENMP, POOL, ForkJoinRuntime, ThreadSafety
 from repro.upc import UpcProgram, collectives
 
 __all__ = ["FtConfig", "run_ft", "run_exchange_only"]
 
-_RUNTIMES = {"openmp": OpenMP, "cilk": Cilk, "pool": ThreadPool}
+_RUNTIMES = {p.name: p for p in (OPENMP, CILK, POOL)}
 #: The per-thread phase timers, in report order.
 _PHASES = ("fft2d", "fft1d", "evolve", "transpose", "alltoall")
 
@@ -175,7 +175,9 @@ def _subthread_runtime(ctx, cfg: FtConfig):
     safety = (
         ThreadSafety.MULTIPLE if cfg.variant == "overlap" else ThreadSafety.FUNNELED
     )
-    return _RUNTIMES[cfg.subthread_runtime](ctx, cfg.omp_threads, safety=safety)
+    return ForkJoinRuntime(
+        ctx, cfg.omp_threads, _RUNTIMES[cfg.subthread_runtime], safety=safety
+    )
 
 
 def _compute_planes(ctx, rt, nplanes: int, flops_per_plane: float,
@@ -212,27 +214,27 @@ def _ft_main(ctx, model: _Model, cfg: FtConfig, state: FtState):
     me = model.rank(ctx)
     fwd, inv = _legs(cfg.clazz, state)
     rt = _subthread_runtime(ctx, cfg)
-    timers = {name: ctx.stats.phase(name, key=me) for name in _PHASES}
+    stats = ctx.stats
 
     def fft_pass(leg: _Leg, inverse: bool):
-        timers[leg.fft_timer].start()
+        stats.timer_enter(leg.fft_timer, me)
         yield from _compute_planes(
             ctx, rt, leg.nitems, leg.flops, 0.0, cfg.fft_efficiency
         )
         leg.fft(me, inverse=inverse)
-        timers[leg.fft_timer].stop()
+        stats.timer_exit(leg.fft_timer, me)
 
     def split_leg(leg: _Leg, inverse: bool, t: int):
         """Compute all items, transpose, then a blocking exchange."""
         yield from fft_pass(leg, inverse)
-        timers["transpose"].start()
+        stats.timer_enter("transpose", me)
         yield from _compute_planes(ctx, rt, leg.nitems, 0.0, leg.transpose_bytes, 1.0)
-        timers["transpose"].stop()
-        timers["alltoall"].start()
+        stats.timer_exit("transpose", me)
+        stats.timer_enter("alltoall", me)
         leg.pack(me)
         yield from model.exchange(ctx, cfg, state.bytes_per_pair, t)
         leg.unpack(me)
-        timers["alltoall"].stop()
+        stats.timer_exit("alltoall", me)
 
     def overlap_leg(leg: _Leg, inverse: bool, t: int):
         """Fused compute+exchange: each item's FFT, then its slices go out
@@ -251,12 +253,11 @@ def _ft_main(ctx, model: _Model, cfg: FtConfig, state: FtState):
                 handles.append(c.memput_nb(dst, leg.slice_bytes,
                                            privatized=priv_ok[dst]))
 
-        timer = timers[leg.fft_timer]
         if rt is None:
             for _p in range(leg.nitems):
-                timer.start()
+                stats.timer_enter(leg.fft_timer, me)
                 yield from ctx.compute_flops(leg.flops, cfg.fft_efficiency)
-                timer.stop()
+                stats.timer_exit(leg.fft_timer, me)
                 issue_puts(ctx)
         else:
             def body(st, rng):
@@ -264,18 +265,18 @@ def _ft_main(ctx, model: _Model, cfg: FtConfig, state: FtState):
                     yield from st.compute_flops(leg.flops, cfg.fft_efficiency)
                     issue_puts(st)
 
-            timer.start()
+            stats.timer_enter(leg.fft_timer, me)
             yield from rt.parallel_for(leg.nitems, body)
-            timer.stop()
+            stats.timer_exit(leg.fft_timer, me)
 
         # data plane: the packing is logically per item; do it in bulk here
         leg.fft(me, inverse=inverse)
         leg.pack(me)
-        timers["alltoall"].start()
+        stats.timer_enter("alltoall", me)
         for h in handles:
             yield from h.wait()
         yield from ctx.program.world.barrier(me)
-        timers["alltoall"].stop()
+        stats.timer_exit("alltoall", me)
         leg.unpack(me)
 
     exchange_leg = overlap_leg if cfg.variant == "overlap" else split_leg
@@ -299,11 +300,11 @@ def _ft_main(ctx, model: _Model, cfg: FtConfig, state: FtState):
             state.d2[me] = spectrum * state.factors_slice_d2(
                 me, evolve_factors(cfg.clazz, t)
             )
-        timers["evolve"].start()
+        stats.timer_enter("evolve", me)
         yield from _compute_planes(
             ctx, rt, inv.nitems, 0.0, 2 * inv.transpose_bytes, 1.0
         )
-        timers["evolve"].stop()
+        stats.timer_exit("evolve", me)
         yield from exchange_leg(inv, inverse=True, t=t)
         yield from fft_pass(fwd, inverse=True)
         total = yield from model.allreduce(ctx, state.local_checksum(me))

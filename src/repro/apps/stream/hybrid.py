@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.machine.presets import PlatformPreset, lehman
-from repro.subthreads import OpenMP, ThreadSafety
+from repro.subthreads import OPENMP, ForkJoinRuntime, ThreadSafety
 from repro.upc import UpcProgram
 
 __all__ = ["run_pure", "run_hybrid_stream"]
@@ -42,7 +42,7 @@ def _pure_main(upc, n: int, chunks: int):
 
 
 def _hybrid_main(upc, omp_threads: int, n: int, chunks: int):
-    omp = OpenMP(upc, num_threads=omp_threads, safety=ThreadSafety.FUNNELED)
+    omp = ForkJoinRuntime(upc, omp_threads, OPENMP, safety=ThreadSafety.FUNNELED)
     yield from upc.barrier()
     t0 = upc.wtime()
 

@@ -2,7 +2,8 @@
 
 The thesis cites the (then-unreleased) GASNet team extension as the
 natural substrate for UPC thread groups; here a :class:`Team` is an
-ordered subset of threads carrying a team barrier and split support.
+ordered subset of threads carrying a team barrier.  Splitting a team is
+collective, so :func:`repro.upc.groups.split` builds the child teams.
 Collective *algorithms* (broadcast, exchange, reduce) live in
 :mod:`repro.upc.collectives` and take a team argument;
 :func:`binomial_tree` is the one tree shape both their broadcast and
@@ -36,20 +37,21 @@ def binomial_tree(rel: int, size: int) -> Tuple[Optional[int], List[int]]:
 
 
 class Team:
-    """An ordered, immutable set of thread ids with a reusable barrier."""
+    """An ordered, immutable set of thread ids with a reusable barrier.
 
-    _counter = 0
+    ``name`` prefixes the team's op tags, sanitizer keys and barrier span
+    names, so every caller chooses it.
+    """
 
-    def __init__(self, sim: Simulator, members: Sequence[int], name: str = ""):
+    def __init__(self, sim: Simulator, members: Sequence[int], name: str):
         members = tuple(members)
         if not members:
             raise GasnetError("team needs at least one member")
         if len(set(members)) != len(members):
             raise GasnetError(f"duplicate members in team: {members}")
-        Team._counter += 1
         self.sim = sim
         self.members = members
-        self.name = name or f"team{Team._counter}"
+        self.name = name
         self._rank_of = {t: i for i, t in enumerate(members)}
         self._barrier = SimBarrier(sim, parties=len(members), name=f"{self.name}.bar")
         self._op_counters = {t: 0 for t in members}
@@ -133,50 +135,3 @@ class Team:
         """
         self.rank(thread_id)
         return self._barrier.drop_party(thread_id)
-
-    def split(self, thread_id: int, color: int, key: Optional[int] = None) -> "TeamSplit":
-        """Record a split request; see :meth:`TeamSplit.build` for assembly.
-
-        Real GASNet team splits are collective; in simulation the UPC
-        runtime assembles splits centrally, so this helper just validates
-        membership and returns a request token.
-        """
-        self.rank(thread_id)
-        return TeamSplit(self, thread_id, color, key if key is not None else thread_id)
-
-    @classmethod
-    def build_split(
-        cls, sim: Simulator, requests: Sequence["TeamSplit"]
-    ) -> dict[int, "Team"]:
-        """Assemble the child teams from one split request per member.
-
-        Returns ``{thread_id: child_team}``; members sharing a color end
-        up in one team, ordered by key.
-        """
-        if not requests:
-            raise GasnetError("no split requests")
-        parent = requests[0].parent
-        if {r.thread_id for r in requests} != set(parent.members):
-            raise GasnetError("split requests must cover the whole parent team")
-        by_color: dict[int, list] = {}
-        for r in requests:
-            if r.parent is not parent:
-                raise GasnetError("split requests from different parent teams")
-            by_color.setdefault(r.color, []).append(r)
-        result: dict[int, Team] = {}
-        for color, reqs in sorted(by_color.items()):
-            members = [r.thread_id for r in sorted(reqs, key=lambda r: (r.key, r.thread_id))]
-            team = cls(sim, members, name=f"{parent.name}/c{color}")
-            for t in members:
-                result[t] = team
-        return result
-
-
-class TeamSplit:
-    """A single member's split request (color/key pair)."""
-
-    def __init__(self, parent: Team, thread_id: int, color: int, key: int):
-        self.parent = parent
-        self.thread_id = thread_id
-        self.color = color
-        self.key = key

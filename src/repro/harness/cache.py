@@ -3,8 +3,11 @@
 Every executed :class:`~repro.harness.spec.RunSpec` is deterministic
 (the simulation is a pure function of the spec), so its output can be
 keyed by the spec's content fingerprint salted with the package version
-and reused forever: re-running a sweep skips already-computed points,
-and an interrupted paper-scale campaign resumes from where it stopped.
+and reused forever: re-running a sweep skips already-computed points.
+:class:`~repro.harness.campaign.Campaign` stores an experiment's outputs
+only after the whole experiment has run, so an interrupted sweep keeps
+its finished experiments but no point of the one it was running;
+per-point resume is the durable journal's (``--durable``/``--resume``).
 
 Entries are JSON files under ``<root>/<key[:2]>/<key>.json`` written
 atomically (temp file + rename), so a killed run never leaves a

@@ -34,7 +34,7 @@ from repro.sim.engine import (
 from repro.sim.resources import Resource, SharedBandwidth, Store
 from repro.sim.sync import Condition, SimBarrier
 from repro.sim.rng import SplittableRNG, splitmix64
-from repro.sim.trace import PhaseTimer, StatsCollector
+from repro.sim.trace import StatsCollector
 
 __all__ = [
     "AllOf",
@@ -43,7 +43,6 @@ __all__ = [
     "Condition",
     "Delay",
     "Event",
-    "PhaseTimer",
     "Process",
     "ProcessFailure",
     "Resource",

@@ -13,7 +13,7 @@ from repro.obs import names as metric_names
 from repro.obs.tracer import META_TRACK, thread_track
 from repro.sim.engine import Simulator
 
-__all__ = ["StatsCollector", "PhaseTimer"]
+__all__ = ["StatsCollector"]
 
 
 class StatsCollector:
@@ -22,8 +22,14 @@ class StatsCollector:
     * ``count(name)`` — increment an integer counter.
     * ``add(name, v)`` — accumulate a float (e.g. bytes moved).
     * ``record(name, v)`` — append to a value series (for distributions).
-    * ``time_block`` — accumulate per-(name, key) elapsed simulated time
-      via explicit ``enter``/``exit`` pairs (see :class:`PhaseTimer`).
+    * ``timer_enter``/``timer_exit`` — accumulate per-(name, key) elapsed
+      simulated time.  Simulated processes are generators, and a ``with``
+      block cannot span a ``yield`` safely on failure, so apps call the
+      pair explicitly around the simulated work::
+
+          stats.timer_enter("fft1d", mythread)
+          yield ...                 # simulated work
+          stats.timer_exit("fft1d", mythread)
     """
 
     def __init__(self, sim: Optional[Simulator] = None):
@@ -104,9 +110,6 @@ class StatsCollector:
         values = [v for (n, _k), v in self.timers.items() if n == name]
         return max(values) if values else 0.0
 
-    def phase(self, name: str, key=None) -> "PhaseTimer":
-        return PhaseTimer(self, name, key)
-
     def snapshot(self) -> str:
         """Canonical text serialization of every counter/sum/series/timer.
 
@@ -134,28 +137,3 @@ class StatsCollector:
         for tk in sorted(self.timers, key=repr):
             lines.append(f"timer {tk!r} {self.timers[tk]!r}")
         return "\n".join(lines)
-
-
-class PhaseTimer:
-    """Scoped phase timing for simulated code.
-
-    Because simulated processes are generators, Python's ``with`` blocks
-    cannot span a ``yield`` boundary safely on failure; apps instead write::
-
-        timer = stats.phase("fft1d", key=mythread)
-        timer.start()
-        yield ...                 # simulated work
-        timer.stop()
-    """
-
-    def __init__(self, stats: StatsCollector, name: str, key=None):
-        self.stats = stats
-        self.name = name
-        self.key = key
-
-    def start(self) -> "PhaseTimer":
-        self.stats.timer_enter(self.name, self.key)
-        return self
-
-    def stop(self) -> float:
-        return self.stats.timer_exit(self.name, self.key)

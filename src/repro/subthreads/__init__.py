@@ -2,17 +2,18 @@
 
 Each SPMD UPC thread may act as a *master* that forks light-weight
 shared-memory sub-threads in a master–worker pattern — the thesis's
-second approach to hierarchical parallelism.  Three runtimes with
-distinct overhead profiles are provided, matching the thesis's
-UPC×OpenMP, UPC×Cilk++ and UPC×thread-pool hybrids:
+second approach to hierarchical parallelism.  One fork/join engine,
+:class:`~repro.subthreads.base.ForkJoinRuntime`, runs all three of the
+thesis's hybrids; each is a :class:`~repro.subthreads.base.SubthreadParams`
+value of fork, join and dispatch overheads, work inflation and schedule:
 
-* :class:`~repro.subthreads.openmp.OpenMP` — fork/join parallel regions,
-  static scheduling, the cheapest fork path (best performer in Fig 4.6);
-* :class:`~repro.subthreads.pool.ThreadPool` — the in-house prototype:
-  persistent workers, central task queue, dynamic scheduling;
-* :class:`~repro.subthreads.cilk.Cilk` — spawn/steal semantics with the
-  highest per-region overhead and a small work inflation (the consistent
-  Cilk++ lag the thesis reports).
+* :data:`OPENMP` — UPC×OpenMP: static scheduling, the cheapest fork path
+  (best performer in Fig 4.6);
+* :data:`POOL` — UPC×thread-pool, the in-house prototype: a central task
+  queue, dynamic scheduling;
+* :data:`CILK` — UPC×Cilk++: dynamic scheduling with the highest
+  per-region overhead and a small work inflation (the consistent Cilk++
+  lag the thesis reports).
 
 Sub-threads inherit the parent process's affinity mask, access the global
 address space subject to a thread-safety level
@@ -22,18 +23,22 @@ and behind Chapter 4's scaling results.
 """
 
 from repro.subthreads.interop import SubthreadContext, ThreadSafety
-from repro.subthreads.base import ForkJoinRuntime, SubthreadParams, static_chunks
-from repro.subthreads.openmp import OpenMP
-from repro.subthreads.cilk import Cilk
-from repro.subthreads.pool import ThreadPool
+from repro.subthreads.base import (
+    CILK,
+    OPENMP,
+    POOL,
+    ForkJoinRuntime,
+    SubthreadParams,
+    static_chunks,
+)
 
 __all__ = [
-    "Cilk",
+    "CILK",
     "ForkJoinRuntime",
-    "OpenMP",
+    "OPENMP",
+    "POOL",
     "SubthreadContext",
     "SubthreadParams",
-    "ThreadPool",
     "ThreadSafety",
     "static_chunks",
 ]

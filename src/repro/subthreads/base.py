@@ -1,4 +1,4 @@
-"""Common fork/join machinery for the three sub-thread runtimes.
+"""Fork/join machinery and the three sub-thread runtime flavours.
 
 A :class:`ForkJoinRuntime` is created per UPC thread (the master) and runs
 *parallel regions*: the master pays a fork cost, ``count`` sub-thread
@@ -7,19 +7,24 @@ master joins them all.  Scheduling is either ``static`` (body ``i`` runs
 on sub-thread ``i`` — OpenMP's default worksharing) or ``dynamic`` (bodies
 are chunked onto a task queue drained by the workers — the Cilk/thread-pool
 style that load-balances irregular work at extra per-task cost).
+
+The flavours differ only in those overheads and the schedule, so each is
+one :class:`SubthreadParams` value: :data:`OPENMP`, :data:`CILK` and
+:data:`POOL`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Generator, Optional, Sequence
+from typing import Callable, Generator, Sequence
 
 from repro.errors import SubthreadError
 from repro.machine.affinity import subthread_pus
 from repro.sim import Resource, Store
 from repro.subthreads.interop import SubthreadContext, ThreadSafety
 
-__all__ = ["SubthreadParams", "ForkJoinRuntime", "static_chunks"]
+__all__ = ["SubthreadParams", "OPENMP", "CILK", "POOL", "ForkJoinRuntime",
+           "static_chunks"]
 
 
 @dataclass(frozen=True)
@@ -48,6 +53,49 @@ class SubthreadParams:
             raise SubthreadError("work_inflation must be >= 1.0")
 
 
+#: UPC×OpenMP: GCC's libgomp (OpenMP v2.5, the compiler of §4.3.3.2) parks
+#: a pre-created team on a spin barrier, so a ``#pragma omp parallel``
+#: region fans out in about a microsecond; static worksharing is the
+#: default schedule.  The best-performing hybrid in Fig 4.6.
+OPENMP = SubthreadParams(
+    name="openmp",
+    fork_cost=1.2e-6,
+    join_cost=0.8e-6,
+    per_task_cost=0.2e-6,
+    work_inflation=1.0,
+    scheduling="static",
+)
+
+#: UPC×Cilk++: §4.3.3.3 finds it the slowest hybrid, "up to 10% of
+#: slowdown on FFTs and a consistent 0.2 seconds of lag", from higher
+#: runtime overhead: dynamic scheduling, elevated fork/spawn costs and a
+#: work inflation for cilk_for's frame bookkeeping.  Cilk++ cannot share a
+#: source file with UPC (only ``extern "C"`` kernels are callable), so the
+#: thesis uses it for local computational kernels only.
+CILK = SubthreadParams(
+    name="cilk",
+    fork_cost=6.0e-6,
+    join_cost=4.0e-6,
+    per_task_cost=1.5e-6,
+    work_inflation=1.08,
+    scheduling="dynamic",
+)
+
+#: The in-house prototype thread pool (§4.2.2): "a central task queue
+#: associated with a pool of threads", which balances supply and demand
+#: for threads across tasks.  Dynamic scheduling through that queue, with
+#: overheads between OpenMP's and Cilk++'s; second among the hybrids in
+#: Fig 4.6.
+POOL = SubthreadParams(
+    name="pool",
+    fork_cost=2.0e-6,
+    join_cost=1.5e-6,
+    per_task_cost=0.8e-6,
+    work_inflation=1.01,
+    scheduling="dynamic",
+)
+
+
 def static_chunks(total: int, parts: int, index: int) -> range:
     """The ``index``-th of ``parts`` near-equal contiguous ranges of ``total``."""
     if parts < 1 or not 0 <= index < parts:
@@ -59,24 +107,22 @@ def static_chunks(total: int, parts: int, index: int) -> range:
 
 
 class ForkJoinRuntime:
-    """Sub-thread execution under one UPC master thread."""
-
-    params: SubthreadParams
+    """Sub-thread execution under one UPC master thread, with the
+    overheads and schedule of ``params``."""
 
     def __init__(
         self,
         upc,
         num_threads: int,
+        params: SubthreadParams,
         safety: ThreadSafety = ThreadSafety.FUNNELED,
-        params: Optional[SubthreadParams] = None,
     ):
         if num_threads < 1:
             raise SubthreadError(f"num_threads must be >= 1, got {num_threads}")
         self.upc = upc
         self.num_threads = num_threads
+        self.params = params
         self.safety = safety
-        if params is not None:
-            self.params = params
         mask = upc.program.masks[upc.MYTHREAD]
         self.pus = subthread_pus(upc.topo, mask, num_threads)
         # The master participates as sub-thread 0 on its own PU.

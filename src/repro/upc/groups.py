@@ -65,16 +65,24 @@ def split(upc, color: int, key: Optional[int] = None, build_table: bool = True):
     """Simulated generator: collectively split the world by color/key.
 
     All threads must call; threads sharing a color form one group.
-    Returns this thread's :class:`ThreadGroup`.
+    Returns this thread's :class:`ThreadGroup`.  Each color's members are
+    ordered by ``(key, thread)``, and its team is named ``<world>/c<color>``.
     """
-    tag_team = upc.program.world.op_tag(upc.MYTHREAD)
+    world = upc.program.world
+    tag_team = world.op_tag(upc.MYTHREAD)
 
-    def combine(payloads: Dict[int, tuple]):
-        requests = [
-            upc.program.world.split(t, color=c, key=k)
-            for t, (c, k) in sorted(payloads.items())
-        ]
-        return Team.build_split(upc.sim, requests)
+    def combine(payloads: Dict[int, tuple]) -> Dict[int, Team]:
+        """Build every color's team once, from all threads' ``(color, key)``."""
+        by_color: Dict[int, list] = {}
+        for t, (c, k) in payloads.items():
+            by_color.setdefault(c, []).append((k, t))
+        team_of: Dict[int, Team] = {}
+        for c, keyed in sorted(by_color.items()):
+            members = [t for _k, t in sorted(keyed)]
+            team = Team(upc.sim, members, name=f"{world.name}/c{c}")
+            for t in members:
+                team_of[t] = team
+        return team_of
 
     key = key if key is not None else upc.MYTHREAD
     team_map = yield from upc.collective(f"group_split:{tag_team}", (color, key), combine)

@@ -15,7 +15,7 @@ def sim():
 
 class TestTeamBasics:
     def test_membership_and_ranks(self, sim):
-        team = Team(sim, [4, 7, 9])
+        team = Team(sim, [4, 7, 9], name="t")
         assert len(team) == 3
         assert 7 in team and 5 not in team
         assert team.rank(7) == 1
@@ -23,26 +23,26 @@ class TestTeamBasics:
 
     def test_empty_rejected(self, sim):
         with pytest.raises(GasnetError):
-            Team(sim, [])
+            Team(sim, [], name="t")
 
     def test_duplicates_rejected(self, sim):
         with pytest.raises(GasnetError, match="duplicate"):
-            Team(sim, [1, 1])
+            Team(sim, [1, 1], name="t")
 
     def test_rank_of_non_member_rejected(self, sim):
-        team = Team(sim, [0, 1])
+        team = Team(sim, [0, 1], name="t")
         with pytest.raises(GasnetError, match="not in team"):
             team.rank(5)
 
     def test_thread_at_out_of_range(self, sim):
-        team = Team(sim, [0, 1])
+        team = Team(sim, [0, 1], name="t")
         with pytest.raises(GasnetError, match="out of range"):
             team.thread_at(2)
 
 
 class TestTeamBarrier:
     def test_barrier_releases_together(self, sim):
-        team = Team(sim, [0, 1, 2])
+        team = Team(sim, [0, 1, 2], name="t")
         times = []
 
         def member(sim, team, tid, arrive):
@@ -56,7 +56,7 @@ class TestTeamBarrier:
         assert times == [3.0, 3.0, 3.0]
 
     def test_non_member_barrier_rejected(self, sim):
-        team = Team(sim, [0])
+        team = Team(sim, [0], name="t")
 
         def outsider(team):
             yield from team.barrier(9)
@@ -64,56 +64,6 @@ class TestTeamBarrier:
         p = sim.spawn(outsider(team))
         sim.run()
         assert isinstance(p.exc, GasnetError)
-
-
-class TestTeamSplit:
-    def test_split_by_color(self, sim):
-        parent = Team(sim, [0, 1, 2, 3])
-        reqs = [parent.split(t, color=t % 2) for t in range(4)]
-        children = Team.build_split(sim, reqs)
-        assert children[0].members == (0, 2)
-        assert children[1].members == (1, 3)
-        assert children[0] is children[2]
-
-    def test_split_orders_by_key(self, sim):
-        parent = Team(sim, [0, 1, 2])
-        reqs = [
-            parent.split(0, color=0, key=5),
-            parent.split(1, color=0, key=1),
-            parent.split(2, color=0, key=3),
-        ]
-        children = Team.build_split(sim, reqs)
-        assert children[0].members == (1, 2, 0)
-
-    def test_incomplete_split_rejected(self, sim):
-        parent = Team(sim, [0, 1])
-        with pytest.raises(GasnetError, match="cover"):
-            Team.build_split(sim, [parent.split(0, color=0)])
-
-    def test_split_from_non_member_rejected(self, sim):
-        parent = Team(sim, [0, 1])
-        with pytest.raises(GasnetError):
-            parent.split(5, color=0)
-
-    def test_empty_split_rejected(self, sim):
-        with pytest.raises(GasnetError, match="no split"):
-            Team.build_split(sim, [])
-
-    def test_child_barrier_works(self, sim):
-        parent = Team(sim, [0, 1, 2, 3])
-        children = Team.build_split(
-            sim, [parent.split(t, color=t // 2) for t in range(4)]
-        )
-        done = []
-
-        def member(sim, team, tid):
-            yield from team.barrier(tid)
-            done.append(tid)
-
-        for t in (0, 1):
-            sim.spawn(member(sim, children[t], t))
-        sim.run()
-        assert sorted(done) == [0, 1]
 
 
 class TestBinomialTree:

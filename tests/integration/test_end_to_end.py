@@ -6,7 +6,7 @@ import pytest
 from repro.apps.ft import run_ft
 from repro.apps.uts import count_tree, run_uts, small_tree
 from repro.machine.presets import lehman, pyramid
-from repro.subthreads import OpenMP, ThreadSafety
+from repro.subthreads import OPENMP, ForkJoinRuntime, ThreadSafety
 from repro.upc import UpcProgram, collectives, forall, groups
 
 
@@ -36,7 +36,7 @@ class TestWholeStackPrograms:
 
         def main(upc):
             node_g = yield from groups.node_group(upc)
-            omp = OpenMP(upc, num_threads=4, safety=ThreadSafety.FUNNELED)
+            omp = ForkJoinRuntime(upc, 4, OPENMP, safety=ThreadSafety.FUNNELED)
             partial = []
 
             def body(st):

@@ -5,8 +5,11 @@ f4_4, f4_5 and f4_6 take 6-67 s to trace at quick scale.  Here the
 cheapest point or two of each is traced alone through
 ``executor.run_point(spec, trace=True)`` and its exported trace is
 hashed, so a mismatch names the point that moved.  f4_5 #0 is the MPI
-model: MPI barriers go through ``Team.barrier``.  t2_1 has no simulation
-points.  Every digest is computed in one fresh interpreter per hash
+model: MPI barriers go through ``Team.barrier``.  f4_6 #11, #15 and #19
+run FT split-phase under the OpenMP, Cilk++ and thread-pool sub-thread
+runtimes (4 sub-threads per UPC thread), so every ``SubthreadParams``
+flavour and ``ForkJoinRuntime`` scheduling path is pinned; #20 is the
+1-thread baseline.  t2_1 has no simulation points.  Every digest is computed in one fresh interpreter per hash
 seed, so a trace that depends on hashed-key ordering fails here too.
 """
 

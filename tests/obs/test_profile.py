@@ -42,10 +42,10 @@ from repro.upc.runtime import UpcProgram
 
 
 def _app(upc):
-    timer = upc.stats.phase("work", key=upc.MYTHREAD).start()
+    upc.stats.timer_enter("work", upc.MYTHREAD)
     yield from upc.compute(1e-6)
     yield from upc.memput((upc.MYTHREAD + 1) % upc.THREADS, 1 << 14)
-    timer.stop()
+    upc.stats.timer_exit("work", upc.MYTHREAD)
     yield from upc.barrier()
 
 

@@ -1,4 +1,4 @@
-"""Unit tests for StatsCollector and PhaseTimer."""
+"""Unit tests for StatsCollector."""
 
 import pytest
 
@@ -62,16 +62,18 @@ class TestTimers:
         assert st.timer_max("p") == pytest.approx(7.0)
         assert st.timer_total("p", key=Ellipsis) == pytest.approx(9.0)
 
-    def test_phase_timer_helper(self, sim):
+    def test_timer_exit_returns_elapsed(self, sim):
         st = StatsCollector(sim)
+        elapsed = []
 
         def proc(sim, st):
-            t = st.phase("fft", key=3).start()
+            st.timer_enter("fft", 3)
             yield sim.delay(4.0)
-            t.stop()
+            elapsed.append(st.timer_exit("fft", 3))
 
         sim.spawn(proc(sim, st))
         sim.run()
+        assert elapsed == [pytest.approx(4.0)]
         assert st.timer_total("fft", key=3) == pytest.approx(4.0)
 
     def test_double_enter_rejected(self, sim):

@@ -4,10 +4,11 @@ import pytest
 
 from repro.errors import SubthreadError
 from repro.subthreads import (
-    Cilk,
-    OpenMP,
+    CILK,
+    OPENMP,
+    POOL,
+    ForkJoinRuntime,
     SubthreadParams,
-    ThreadPool,
     static_chunks,
 )
 from tests.upc.conftest import make_program
@@ -63,13 +64,13 @@ class TestParams:
 
     def test_flavour_overheads_ordered(self):
         """OpenMP < pool < cilk in fork overhead (the Fig 4.6 ranking)."""
-        assert OpenMP.params.fork_cost < ThreadPool.params.fork_cost < Cilk.params.fork_cost
+        assert OPENMP.fork_cost < POOL.fork_cost < CILK.fork_cost
 
 
 class TestParallel:
     def test_bodies_run_on_distinct_pus(self):
         def main(upc):
-            omp = OpenMP(upc, num_threads=4)
+            omp = ForkJoinRuntime(upc, 4, OPENMP)
             seen = []
 
             def body(st):
@@ -84,7 +85,7 @@ class TestParallel:
 
     def test_master_is_subthread_zero(self):
         def main(upc):
-            omp = OpenMP(upc, num_threads=2)
+            omp = ForkJoinRuntime(upc, 2, OPENMP)
             pus = {}
 
             def body(st):
@@ -102,7 +103,7 @@ class TestParallel:
 
         def work(nthreads):
             def main(upc):
-                omp = OpenMP(upc, num_threads=nthreads)
+                omp = ForkJoinRuntime(upc, nthreads, OPENMP)
 
                 def body(st):
                     for r in static_chunks(8, st.count, st.index):
@@ -120,7 +121,7 @@ class TestParallel:
 
     def test_join_waits_for_slowest(self):
         def main(upc):
-            omp = OpenMP(upc, num_threads=3)
+            omp = ForkJoinRuntime(upc, 3, OPENMP)
 
             def body(st):
                 yield from st.compute((st.index + 1) * 1e-3)
@@ -134,7 +135,7 @@ class TestParallel:
 
     def test_zero_threads_rejected(self):
         def main(upc):
-            OpenMP(upc, num_threads=0)
+            ForkJoinRuntime(upc, 0, OPENMP)
             yield from upc.compute(0.0)
 
         with pytest.raises(Exception):
@@ -144,7 +145,7 @@ class TestParallel:
 class TestScheduling:
     def test_static_assigns_round_robin(self):
         def main(upc):
-            omp = OpenMP(upc, num_threads=2)
+            omp = ForkJoinRuntime(upc, 2, OPENMP)
             assignment = {}
 
             def mk(j):
@@ -162,9 +163,9 @@ class TestScheduling:
     def test_dynamic_balances_uneven_tasks(self):
         """A queue runtime beats static assignment on skewed task sizes."""
 
-        def elapsed(runtime_cls):
+        def elapsed(params):
             def main(upc):
-                rt = runtime_cls(upc, num_threads=2)
+                rt = ForkJoinRuntime(upc, 2, params)
                 # task 0 is huge; statically, thread 0 would also get task 2
                 sizes = [8e-3, 1e-3, 1e-3, 1e-3]
 
@@ -180,11 +181,11 @@ class TestScheduling:
             (res, _) = run_hybrid(main, threads=1, threads_per_node=1)
             return res.returns[0]
 
-        assert elapsed(ThreadPool) < elapsed(OpenMP)
+        assert elapsed(POOL) < elapsed(OPENMP)
 
     def test_parallel_for_covers_all_items(self):
         def main(upc):
-            pool = ThreadPool(upc, num_threads=3)
+            pool = ForkJoinRuntime(upc, 3, POOL)
             seen = []
 
             def body(st, rng):
@@ -198,9 +199,9 @@ class TestScheduling:
         assert res.returns[0] == list(range(20))
 
     def test_cilk_inflates_work(self):
-        def elapsed(cls):
+        def elapsed(params):
             def main(upc):
-                rt = cls(upc, num_threads=1)
+                rt = ForkJoinRuntime(upc, 1, params)
 
                 def body(st):
                     yield from st.compute(1e-2)
@@ -212,7 +213,7 @@ class TestScheduling:
             (res, _) = run_hybrid(main, threads=1, threads_per_node=1)
             return res.returns[0]
 
-        assert elapsed(Cilk) > elapsed(OpenMP) * 1.05
+        assert elapsed(CILK) > elapsed(OPENMP) * 1.05
 
 
 class TestOversubscription:
@@ -221,7 +222,7 @@ class TestOversubscription:
 
         def elapsed(n):
             def main(upc):
-                omp = OpenMP(upc, num_threads=n)
+                omp = ForkJoinRuntime(upc, n, OPENMP)
 
                 def body(st):
                     yield from st.compute(1e-3)

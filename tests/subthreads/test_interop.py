@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.subthreads import OpenMP, ThreadSafety
+from repro.subthreads import CILK, OPENMP, ForkJoinRuntime, ThreadSafety
 from tests.upc.conftest import make_program
 
 
@@ -21,7 +21,7 @@ class TestThreadSafetyLevels:
             if upc.MYTHREAD != 0:
                 yield from upc.compute(0.0)
                 return "peer"
-            omp = OpenMP(upc, num_threads=2, safety=safety)
+            omp = ForkJoinRuntime(upc, 2, OPENMP, safety=safety)
 
             def body(st):
                 yield from st.compute(1e-6)
@@ -56,7 +56,7 @@ class TestThreadSafetyLevels:
             if upc.MYTHREAD != 0:
                 yield from upc.compute(0.0)
                 return None
-            omp = OpenMP(upc, num_threads=2, safety=ThreadSafety.SERIALIZED)
+            omp = ForkJoinRuntime(upc, 2, OPENMP, safety=ThreadSafety.SERIALIZED)
 
             def body(st):
                 yield from st.memput(1, 1 << 20)
@@ -76,7 +76,7 @@ class TestThreadSafetyLevels:
             if upc.MYTHREAD != 0:
                 yield from upc.compute(0.0)
                 return None
-            omp = OpenMP(upc, num_threads=1, safety=ThreadSafety.SERIALIZED)
+            omp = ForkJoinRuntime(upc, 1, OPENMP, safety=ThreadSafety.SERIALIZED)
 
             def body(st):
                 st.memput_nb(1, 8)
@@ -94,7 +94,7 @@ class TestSubthreadMemory:
         prog = make_program(threads=2, nodes=1, threads_per_node=2, binding="sockets")
 
         def main(upc):
-            omp = OpenMP(upc, num_threads=2)
+            omp = ForkJoinRuntime(upc, 2, OPENMP)
 
             def body(st):
                 peer = 1 - upc.MYTHREAD
@@ -107,12 +107,10 @@ class TestSubthreadMemory:
         assert res.elapsed > 0
 
     def test_subthread_compute_charges_inflation(self):
-        from repro.subthreads import Cilk
-
         prog = make_program(threads=1, nodes=1, threads_per_node=1, binding="sockets")
 
         def main(upc):
-            cilk = Cilk(upc, num_threads=1)
+            cilk = ForkJoinRuntime(upc, 1, CILK)
             st = cilk.context(0)
             t0 = upc.wtime()
             yield from st.compute(1.0)

@@ -346,6 +346,51 @@ class TestThreadGroups:
         assert res.returns[0] == (0, 2)
         assert res.returns[1] == (1, 3)
 
+    def test_split_by_color(self):
+        """One team per color, shared by its members, named after it."""
+        prog = make_program(threads=6, nodes=2, threads_per_node=3)
+
+        def main(upc):
+            g = yield from groups.split(upc, color=2 - upc.MYTHREAD // 2,
+                                        build_table=False)
+            return g.team
+
+        teams = prog.run(main).returns
+        assert [teams[t].members for t in (0, 2, 4)] == [(0, 1), (2, 3), (4, 5)]
+        assert [teams[t].name for t in (0, 2, 4)] == ["world/c2", "world/c1",
+                                                      "world/c0"]
+        assert teams[0] is teams[1] and teams[0] is not teams[2]
+
+    def test_split_orders_by_key_then_thread(self):
+        prog = make_program(threads=4, nodes=1, threads_per_node=4)
+        keys = [5, 1, 3, 1]
+
+        def main(upc):
+            g = yield from groups.split(upc, color=0, key=keys[upc.MYTHREAD],
+                                        build_table=False)
+            return (g.members, g.rank)
+
+        res = prog.run(main)
+        assert res.returns[0] == ((1, 3, 2, 0), 3)
+        assert res.returns[3] == ((1, 3, 2, 0), 1)
+
+    def test_child_barrier_spans_only_its_color(self):
+        """A split team's barrier releases its members without the rest."""
+        prog = make_program(threads=4, nodes=2, threads_per_node=2)
+
+        def main(upc):
+            g = yield from groups.split(upc, color=upc.MYTHREAD // 2,
+                                        build_table=False)
+            if upc.MYTHREAD >= 2:
+                return None
+            yield from upc.compute(upc.MYTHREAD * 1e-3)
+            yield from g.barrier()
+            return upc.wtime()
+
+        res = prog.run(main)
+        assert res.returns[0] == res.returns[1] >= 1e-3
+        assert res.returns[2:] == [None, None]
+
     def test_group_barrier(self):
         prog = make_program(threads=4, nodes=2, threads_per_node=2)
 
